@@ -1,22 +1,26 @@
 #!/usr/bin/env bash
 # Builds everything, runs the full test suite and regenerates every table
-# and figure of the paper. Outputs land in test_output.txt and
-# bench_output.txt at the repository root.
+# and figure of the paper from the scenario catalog.
+#
+# Usage: scripts/reproduce_all.sh [OUT_DIR]   (default: reproduce-results)
+#
+# The build uses CMake's default generator, as `cmake -B build -S .` does,
+# so an existing build/ configured that way is reused. OUT_DIR receives
+# test_output.txt, campaign_output.txt (every group rendered by
+# `gridsim campaign --render`) and CAMPAIGN.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+OUT="${1:-reproduce-results}"
+JOBS="$(nproc)"
+mkdir -p "$OUT"
 
-ctest --test-dir build 2>&1 | tee test_output.txt
+cmake -B build -S .
+cmake --build build -j "$JOBS"
+ctest --test-dir build --output-on-failure -j "$JOBS" 2>&1 |
+  tee "$OUT/test_output.txt"
 
-: > bench_output.txt
-for b in build/bench/*; do
-  echo "==== $(basename "$b") ====" | tee -a bench_output.txt
-  if [ "$(basename "$b")" = "bench_micro_sim" ]; then
-    "$b" --benchmark_min_time=0.1 2>&1 | tee -a bench_output.txt
-  else
-    "$b" 2>&1 | tee -a bench_output.txt
-  fi
-done
-echo "done: see test_output.txt and bench_output.txt"
+build/src/tools/gridsim campaign --jobs "$JOBS" --render --out "$OUT" |
+  tee "$OUT/campaign_output.txt"
+echo "done: see $OUT/test_output.txt, $OUT/campaign_output.txt and" \
+     "$OUT/CAMPAIGN.json"

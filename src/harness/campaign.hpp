@@ -29,7 +29,7 @@ struct CampaignOptions {
   std::uint64_t seed = 1;    ///< folded into every scenario digest
   /// Trace-digest every simulation the scenarios run. Off, scenarios run
   /// without tracing overhead and `digest`/`trace_events` stay zero (the
-  /// bench shims use this; the campaign subcommand keeps it on).
+  /// campaign subcommand keeps it on).
   bool digests = true;
   /// Per-scenario wall-clock watchdog in seconds; 0 = none. A scenario that
   /// exceeds it is stopped at the next event boundary of whichever
@@ -39,7 +39,7 @@ struct CampaignOptions {
   /// Record each scenario's comm-event log and run the simlint
   /// happens-before analysis over it, filling ScenarioOutcome::races and
   /// hb_edges (counters only — `gridsim lint` reports the sites). Off, the
-  /// engine skips recording entirely (the bench shims use this).
+  /// engine skips recording entirely.
   bool lint = true;
 };
 

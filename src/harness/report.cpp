@@ -104,27 +104,4 @@ std::string format_double(double v, int precision) {
   return buf;
 }
 
-void print_table(const std::string& title,
-                 const std::vector<std::string>& headers,
-                 const std::vector<std::vector<std::string>>& rows) {
-  std::fputs(render_table(title, headers, rows).c_str(), stdout);
-}
-
-void print_csv(const std::string& title,
-               const std::vector<std::string>& headers,
-               const std::vector<std::vector<std::string>>& rows) {
-  std::fputs(render_csv(title, headers, rows).c_str(), stdout);
-}
-
-void print_ascii_chart(const std::string& title,
-                       const std::vector<std::string>& series_names,
-                       const std::vector<std::string>& x_labels,
-                       const std::vector<std::vector<double>>& values,
-                       double y_max, const std::string& unit) {
-  std::fputs(
-      render_ascii_chart(title, series_names, x_labels, values, y_max, unit)
-          .c_str(),
-      stdout);
-}
-
 }  // namespace gridsim::harness

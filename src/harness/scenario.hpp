@@ -4,9 +4,9 @@
 // implementations, three tuning levels and several topologies. Instead of
 // one hand-rolled main() per figure, every experiment cell is registered
 // once as a `ScenarioSpec` — a name, a workload closure and the schema of
-// metrics it promises to produce — and every consumer (the per-figure bench
-// shims, `gridsim campaign`, tests) selects scenarios from one
-// `ScenarioRegistry` by glob. The campaign runner (campaign.hpp) executes
+// metrics it promises to produce — and every consumer (`gridsim campaign`,
+// perfbench, tests) selects scenarios from one `ScenarioRegistry` by glob.
+// The campaign runner (campaign.hpp) executes
 // registered scenarios concurrently; group renderers reassemble per-cell
 // results into the paper's tables and charts.
 //

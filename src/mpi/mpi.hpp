@@ -51,7 +51,7 @@ class Request {
   std::shared_ptr<RecvInfo> info_;  // set for receives
 };
 
-/// Aggregate traffic statistics for a job (drives the Table 2 bench).
+/// Aggregate traffic statistics for a job (drives the table2 group).
 struct TrafficStats {
   std::uint64_t p2p_messages = 0;
   double p2p_bytes = 0;

@@ -56,7 +56,7 @@ mpi::ImplProfile raw_tcp();
 /// per-message costs, topology-aware collectives (WAN < LAN ordering), and
 /// GridFTP-style parallel TCP streams for large WAN messages. Not part of
 /// all_implementations() — the paper evaluates four implementations; this
-/// profile backs the extension bench.
+/// profile backs the ext_mpich_g2 scenarios.
 mpi::ImplProfile mpich_g2();
 
 /// The four MPI implementations, in the paper's order.
@@ -66,8 +66,8 @@ std::vector<mpi::ImplProfile> all_implementations();
 /// per-implementation knobs exactly as Section 4.2 describes.
 ExperimentConfig configure(mpi::ImplProfile base, TuningLevel level);
 
-/// Fluent ExperimentConfig builder — the one construction API for benches,
-/// scenarios and tests:
+/// Fluent ExperimentConfig builder — the one construction API for
+/// scenarios, perfbench, examples and tests:
 ///
 ///   auto cfg = experiment(mpich2()).tuning(TuningLevel::kTcpTuned);
 ///   auto abl = experiment(gridmpi()).pacing(false).label("GridMPI (no pacing)");

@@ -1,9 +1,5 @@
 #include "scenarios/catalog.hpp"
 
-#include <cstdio>
-#include <set>
-
-#include "harness/campaign.hpp"
 #include "scenarios/catalog_internal.hpp"
 
 namespace gridsim::scenarios {
@@ -48,29 +44,6 @@ const harness::ScenarioRegistry& paper_registry() {
     return reg;
   }();
   return registry;
-}
-
-int run_and_print(const std::string& filter) {
-  const auto& reg = paper_registry();
-  const auto selected = reg.match(filter);
-  if (selected.empty()) {
-    std::fprintf(stderr, "no scenario matches '%s'\n", filter.c_str());
-    return -1;
-  }
-  harness::CampaignOptions options;
-  options.filter = filter;
-  options.jobs = 1;
-  options.digests = false;
-  options.lint = false;  // bench shims: no recording overhead
-  const auto report = harness::run_campaign(reg, options);
-
-  std::set<std::string> seen;
-  for (const auto& outcome : report.outcomes) {
-    if (!seen.insert(outcome.group).second) continue;
-    std::fputs(harness::render_group(reg, outcome.group, report).c_str(),
-               stdout);
-  }
-  return static_cast<int>(report.failures());
 }
 
 }  // namespace gridsim::scenarios

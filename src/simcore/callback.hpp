@@ -18,8 +18,9 @@
 //
 // Instrumentation: `callback_stats()` counts how many payloads spilled out
 // of the inline buffer and how many pool requests missed the free list and
-// had to call `operator new`. `gridsim bench` reports both, so an accidental
-// regression of the zero-allocation property shows up in BENCH_micro.json.
+// had to call `operator new`. perfbench's traced run reports both
+// (`simcore.callback_spills`, `simcore.pool_misses`), so an accidental
+// regression of the zero-allocation property shows up there.
 #pragma once
 
 #include <cstddef>

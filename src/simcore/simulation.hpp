@@ -124,7 +124,8 @@ class Simulation {
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// Current and high-water pending-event counts (perf observability;
-  /// `gridsim bench` records the peak per scenario).
+  /// perfbench's traced run reports the peak as
+  /// `simcore.peak_queue_depth`).
   std::size_t queue_depth() const { return queue_.size(); }
   std::size_t peak_queue_depth() const { return queue_.peak_size(); }
 

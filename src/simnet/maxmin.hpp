@@ -85,7 +85,7 @@ class BipartiteIndex {
   std::vector<std::vector<FlowState*>> flows_on_;
 };
 
-/// Statistics the churn micro-bench and tests read back.
+/// Statistics perfbench's traced run (`simnet.*`) and tests read back.
 struct SolverStats {
   std::uint64_t solves = 0;          ///< component re-solves run
   std::uint64_t fast_solves = 0;     ///< of which took the 1-flow fast path
@@ -150,8 +150,8 @@ class Solver {
 };
 
 /// The historical global solver, kept verbatim (including its O(flows)
-/// route scans) as the differential-testing oracle and the baseline the
-/// `flow_churn` micro-bench measures the incremental solver against.
+/// route scans) as the differential-testing oracle the incremental solver
+/// is checked against.
 /// `flows_by_order` must be sorted by FlowState::order; `capacity[l]` is
 /// indexed by LinkId over all `num_links` links.
 void solve_global_reference(const std::vector<FlowState*>& flows_by_order,

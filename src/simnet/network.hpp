@@ -77,7 +77,7 @@ struct FlowInfo {
 
 /// Which max-min solver drives the allocation. The incremental solver is
 /// the default; the global-resolve oracle is the pre-incremental code path
-/// kept for differential testing and as the bench baseline.
+/// kept for differential testing.
 enum class SolverMode {
   kIncremental,
   kGlobalOracle,
@@ -165,7 +165,7 @@ class Network {
   /// environment variable (or the GRIDSIM_NET_ORACLE_DEFAULT build knob).
   void set_solver_mode(SolverMode mode);
   /// Incremental-solver statistics: re-solve count, fast-path hits and the
-  /// peak dirty-component size (the churn micro-bench reports these).
+  /// peak dirty-component size (perfbench's traced run reports these).
   const maxmin::SolverStats& solver_stats() const { return solver_.stats(); }
 
   Simulation& sim() { return sim_; }

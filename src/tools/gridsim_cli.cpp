@@ -3,14 +3,13 @@
 //   gridsim pingpong  [--impl NAME] [--tuning default|tcp|full] [--cluster]
 //                     [--min BYTES] [--max BYTES] [--rounds N]
 //   gridsim latency   [--impl NAME] [--tuning ...]
-//   gridsim nas       [--kernel K] [--class S|A|B] [--ranks N]
+//   gridsim nas       [--kernel K] [--class S|W|A|B|C] [--ranks N]
 //                     [--impl NAME] [--tuning ...] [--cluster]
 //   gridsim ray2mesh  [--master SITE] [--rays N] [--impl NAME]
 //   gridsim simri     [--object N] [--nodes N]
 //   gridsim slowstart [--impl NAME] [--messages N] [--cross-traffic]
 //   gridsim audit     [--scenario pingpong|nas|ray2mesh|all] [--seed N]
 //                     [--expect HEXDIGEST]
-//   gridsim bench     [--quick] [--out DIR] [--reps N]
 //   gridsim campaign  [--filter GLOB] [--jobs N] [--out DIR] [--seed N]
 //                     [--timeout-s N] [--render] [--list]
 //   gridsim mc        [--scenario GLOB] [--max-execs N] [--ranks-cap K]
@@ -28,11 +27,6 @@
 // `audit` is the determinism auditor: it runs each scenario twice with the
 // same seed, hashes the structured event trace and exits non-zero if the
 // two digests diverge (or if --expect names a different digest).
-//
-// `bench` runs the engine micro-benchmarks (event-queue churn, coroutine
-// ping-pong, packet-level TCP) and a representative figure subset, and
-// writes BENCH_micro.json / BENCH_figs.json into --out (default: the
-// current directory). --quick shrinks every workload for CI smoke runs.
 //
 // `campaign` runs the paper's full experiment catalog (or a --filter glob
 // subset) on a worker-thread pool, trace-digesting every scenario, and
@@ -82,7 +76,6 @@
 
 #include "apps/ray2mesh.hpp"
 #include "apps/simri.hpp"
-#include "bench/common.hpp"
 #include "collectives/guidelines.hpp"
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
@@ -135,6 +128,17 @@ profiles::TuningLevel tuning_by_name(const std::string& name) {
   if (name == "tcp") return profiles::TuningLevel::kTcpTuned;
   if (name == "full") return profiles::TuningLevel::kFullyTuned;
   std::fprintf(stderr, "unknown tuning level '%s' (default, tcp, full)\n",
+               name.c_str());
+  std::exit(2);
+}
+
+npb::Class class_by_name(const std::string& name) {
+  if (name == "S") return npb::Class::kS;
+  if (name == "W") return npb::Class::kW;
+  if (name == "A") return npb::Class::kA;
+  if (name == "B") return npb::Class::kB;
+  if (name == "C") return npb::Class::kC;
+  std::fprintf(stderr, "unknown problem class '%s' (S, W, A, B, C)\n",
                name.c_str());
   std::exit(2);
 }
@@ -203,7 +207,7 @@ int cmd_nas(int argc, char** argv) {
   bool cluster = false;
   OptionParser parser("nas", "One NPB kernel run (Figs 10-13 cells).");
   parser.string_opt("kernel", &kname, "NPB kernel: EP|CG|MG|LU|SP|BT|IS|FT")
-      .string_opt("class", &cname, "problem class: S|A|B")
+      .string_opt("class", &cname, "problem class: S|W|A|B|C")
       .int_opt("ranks", &ranks, "number of MPI ranks")
       .string_opt("impl", &impl_name, "implementation name")
       .string_opt("tuning", &tuning, "tuning level: default|tcp|full")
@@ -222,9 +226,7 @@ int cmd_nas(int argc, char** argv) {
     std::fprintf(stderr, "unknown kernel '%s'\n", kname.c_str());
     return 2;
   }
-  const npb::Class cls = cname == "S"   ? npb::Class::kS
-                         : cname == "B" ? npb::Class::kB
-                                        : npb::Class::kA;
+  const npb::Class cls = class_by_name(cname);
   npb::validate_ranks(kernel, ranks);
   const auto impl = impl_by_name(impl_name);
   const profiles::ExperimentConfig cfg =
@@ -256,9 +258,15 @@ int cmd_ray2mesh(int argc, char** argv) {
   if (!parse_or_exit(parser, argc, argv, &status)) return status;
 
   const auto spec = topo::GridSpec::ray2mesh_quad(8);
-  int master = 0;
+  int master = -1;
   for (int s = 0; s < static_cast<int>(spec.sites.size()); ++s)
     if (spec.sites[static_cast<size_t>(s)].name == master_name) master = s;
+  if (master < 0) {
+    std::fprintf(stderr,
+                 "unknown master site '%s' (rennes, nancy, sophia, toulouse)\n",
+                 master_name.c_str());
+    return 2;
+  }
   apps::Ray2MeshConfig app;
   app.total_rays = static_cast<int>(rays);
   const profiles::ExperimentConfig cfg =
@@ -378,60 +386,6 @@ int cmd_audit(int argc, char** argv) {
     }
   }
   return ok ? 0 : 1;
-}
-
-int cmd_bench(int argc, char** argv) {
-  bool quick = false;
-  std::string out_dir = ".";
-  int reps = 3;
-  OptionParser parser(
-      "bench",
-      "Engine micro-benchmarks + figure subset, written as BENCH_*.json.");
-  parser.flag("quick", &quick, "shrink workloads for CI smoke runs")
-      .string_opt("out", &out_dir, "output directory")
-      .int_opt("reps", &reps, "repetitions (best by events/sec)");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-  reps = std::max(1, reps);
-
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);  // best effort; fopen
-                                                     // reports real failures
-
-  const auto print_records = [](const char* title,
-                                const std::vector<bench::BenchRecord>& recs) {
-    std::printf("# %s\n", title);
-    for (const auto& r : recs) {
-      std::printf(
-          "%-20s %12llu events  %8.3f s  %12.0f ev/s  peak depth %llu  "
-          "heap payloads %llu  pool misses %llu  %s\n",
-          r.name.c_str(), static_cast<unsigned long long>(r.events), r.wall_s,
-          r.events_per_sec, static_cast<unsigned long long>(r.peak_queue_depth),
-          static_cast<unsigned long long>(r.heap_payloads),
-          static_cast<unsigned long long>(r.pool_misses), r.note.c_str());
-    }
-  };
-
-  const auto micro = bench::run_micro_suite(quick, reps);
-  print_records("micro-sim (best of reps, by events/sec)", micro);
-  const std::string micro_path = out_dir + "/BENCH_micro.json";
-  if (!bench::write_bench_json(micro_path, "gridsim-bench-micro/1", quick,
-                               micro)) {
-    std::fprintf(stderr, "error: cannot write %s\n", micro_path.c_str());
-    return 1;
-  }
-
-  const auto figs = bench::run_figure_suite(quick);
-  print_records("figure subset (single run)", figs);
-  const std::string figs_path = out_dir + "/BENCH_figs.json";
-  if (!bench::write_bench_json(figs_path, "gridsim-bench-figs/1", quick,
-                               figs)) {
-    std::fprintf(stderr, "error: cannot write %s\n", figs_path.c_str());
-    return 1;
-  }
-
-  std::printf("wrote %s and %s\n", micro_path.c_str(), figs_path.c_str());
-  return 0;
 }
 
 int cmd_campaign(int argc, char** argv) {
@@ -922,7 +876,6 @@ int usage() {
       "  simri      MRI simulator scaling run\n"
       "  slowstart  cold-connection bandwidth series (Fig 9)\n"
       "  audit      determinism auditor (trace digests)\n"
-      "  bench      engine micro-benchmarks -> BENCH_*.json\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
       "  lint       happens-before communication-race analyzer\n"
@@ -947,7 +900,6 @@ int main(int argc, char** argv) {
     if (command == "simri") return cmd_simri(opt_argc, opt_argv);
     if (command == "slowstart") return cmd_slowstart(opt_argc, opt_argv);
     if (command == "audit") return cmd_audit(opt_argc, opt_argv);
-    if (command == "bench") return cmd_bench(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);
     if (command == "lint") return cmd_lint(opt_argc, opt_argv);

@@ -220,6 +220,22 @@ TEST(Catalog, CollGroupIsComplete) {
   }
 }
 
+TEST(Catalog, EveryPaperGroupHasARenderer) {
+  // `gridsim campaign --filter G --render` is the one path from a paper
+  // table/figure (or ablation/extension study) to its text. Without a
+  // registered renderer it would fall back to the raw per-cell dump.
+  const auto& reg = paper_registry();
+  const std::vector<std::string> groups = {
+      "fig3",   "fig5",   "fig6",  "fig7",  "table4", "table5", "fig9",
+      "table2", "fig10",  "fig11", "fig12", "fig13",  "table6", "table7",
+      "ablation_pacing",        "ablation_collectives", "ablation_buffers",
+      "ablation_heterogeneity", "ablation_tcp_algo",    "ext_mpich_g2",
+      "ext_placement",          "ext_traffic_matrix",
+  };
+  for (const auto& group : groups)
+    EXPECT_NE(reg.renderer(group), nullptr) << group;
+}
+
 TEST(Catalog, McScenariosDeclareSmallRankCounts) {
   // `gridsim mc` skips scenarios without a declared rank count within its
   // cap; every model-checking target must therefore declare one, and keep

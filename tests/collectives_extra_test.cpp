@@ -131,6 +131,12 @@ struct SweepCase {
   double bytes;
 };
 
+// Names the case by value: gtest's default printer dumps the raw bytes,
+// pointer included, so the discovered test names would change every run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.algo << '-' << static_cast<long long>(c.bytes) << 'B';
+}
+
 class BcastSizeSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(BcastSizeSweep, TrafficLowerBoundHolds) {

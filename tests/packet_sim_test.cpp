@@ -43,6 +43,10 @@ struct Scenario {
   double tolerance;  // allowed relative error fluid vs packet
 };
 
+// Names the case by value: gtest's default printer dumps the raw bytes,
+// pointer included, so the discovered test names would change every run.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.label; }
+
 class FluidVsPacket : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(FluidVsPacket, TransferTimesAgree) {

@@ -75,6 +75,10 @@ struct Table4Case {
   double tolerance_us;
 };
 
+// Names the case by value: gtest's default printer dumps the raw bytes,
+// pointer included, so the discovered test names would change every run.
+void PrintTo(const Table4Case& c, std::ostream* os) { *os << c.impl; }
+
 class Table4 : public ::testing::TestWithParam<Table4Case> {};
 
 mpi::ImplProfile by_name(const std::string& name) {
