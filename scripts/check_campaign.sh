@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Campaign schedule-independence check: runs the same scenario selection
-# serially and on N worker threads and fails unless every per-scenario trace
-# digest is byte-identical. This is the executable form of the campaign
-# engine's core claim — the thread schedule changes nothing.
+# Campaign digest check: runs the same scenario selection three times and
+# fails unless every per-scenario trace digest is byte-identical to the
+# serial run's. --jobs N checks that the thread schedule changes nothing;
+# --jobs N on the global max-min oracle (GRIDSIM_NET_ORACLE=1) checks that
+# the incremental solver changes nothing, down to the last ulp of a rate.
 #
 # Usage: scripts/check_campaign.sh [filter] [jobs] [path/to/gridsim]
 #   FILTER  glob over scenario names/groups (default: table4*)
@@ -25,29 +26,26 @@ fi
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 
-"$CLI" campaign --filter "$FILTER" --jobs 1 --out "$WORKDIR/serial" >/dev/null
-"$CLI" campaign --filter "$FILTER" --jobs "$JOBS" --out "$WORKDIR/parallel" \
-  >/dev/null
-
-# The report keeps one scenario object per line, so name+digest pairs fall
-# out with grep/sed — no JSON parser needed.
-extract() {
+# run NAME ORACLE JOBS: one campaign; its name+digest pairs go to NAME.digests
+# (one scenario object per report line, so grep needs no JSON parser). The
+# campaign itself exits 2 when the filter matches no scenario.
+run() {
+  GRIDSIM_NET_ORACLE="$2" "$CLI" campaign --filter "$FILTER" --jobs "$3" \
+    --out "$WORKDIR/$1" >/dev/null
   grep -o '"name": "[^"]*", "group": "[^"]*", "ok": [a-z]*, "digest": "[0-9a-f]*"' \
-    "$1/CAMPAIGN.json"
+    "$WORKDIR/$1/CAMPAIGN.json" > "$WORKDIR/$1.digests"
 }
 
-extract "$WORKDIR/serial" > "$WORKDIR/serial.digests"
-extract "$WORKDIR/parallel" > "$WORKDIR/parallel.digests"
+run serial 0 1
+run parallel 0 "$JOBS"
+run oracle 1 "$JOBS"
 
-if [[ ! -s "$WORKDIR/serial.digests" ]]; then
-  echo "check_campaign: no scenarios matched filter '$FILTER'" >&2
-  exit 2
-fi
-
-if ! diff -u "$WORKDIR/serial.digests" "$WORKDIR/parallel.digests"; then
-  echo "check_campaign: digest mismatch between --jobs 1 and --jobs $JOBS" >&2
-  exit 1
-fi
+for other in parallel oracle; do
+  if ! diff -u "$WORKDIR/serial.digests" "$WORKDIR/$other.digests"; then
+    echo "check_campaign: $other run (--jobs $JOBS) digests differ from the serial run" >&2
+    exit 1
+  fi
+done
 
 COUNT="$(wc -l < "$WORKDIR/serial.digests")"
-echo "check_campaign: $COUNT scenario digests identical at --jobs 1 and --jobs $JOBS (filter '$FILTER')"
+echo "check_campaign: $COUNT scenario digests identical at --jobs 1, at --jobs $JOBS and on the oracle solver (filter '$FILTER')"

@@ -43,9 +43,8 @@ std::uint64_t digest_basis(std::uint64_t seed, const std::string& name) {
 }
 
 /// Hooks that enable every trace category with storage off and fold each
-/// event into `state` as it is recorded — the same per-event fold as
-/// `trace_digest`, so a campaign digest is comparable across runs
-/// regardless of trace length.
+/// event into `state` as it is recorded, so a scenario is digested in O(1)
+/// memory regardless of trace length.
 SimHooks digest_hooks(DigestState* state) {
   SimHooks hooks;
   hooks.on_start = [state](Simulation& sim) {

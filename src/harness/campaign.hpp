@@ -5,10 +5,11 @@
 // sequence) per worker, no shared mutable state — then aggregates results
 // in registration order, so the report is independent of the thread
 // schedule. Each scenario is trace-digested while it runs (streaming
-// FNV-1a over every enabled trace event, O(1) memory): `--jobs N` must
-// produce byte-identical per-scenario digests to `--jobs 1`, which the
-// campaign-smoke CI job and tests/campaign_test.cpp verify with the same
-// machinery the `gridsim audit` subcommand uses.
+// FNV-1a over every enabled trace event, O(1) memory). This is the
+// simulator's one determinism check: `--jobs N` must produce byte-identical
+// per-scenario digests to `--jobs 1` (scripts/check_campaign.sh, run by
+// CI), and tests/campaign_test.cpp pins the digests of three catalog
+// scenarios so that any change to the event schedule fails a test.
 //
 // Failure isolation: a scenario that throws (or violates its declared
 // metric schema) is reported failed with its error text; the rest of the

@@ -1,16 +1,7 @@
 #include "harness/determinism.hpp"
 
 #include <cstring>
-#include <stdexcept>
-
-#include "apps/ray2mesh.hpp"
-#include "harness/npb_campaign.hpp"
-#include "harness/pingpong.hpp"
-#include "npb/npb.hpp"
-#include "profiles/profiles.hpp"
-#include "simcore/check.hpp"
-#include "simcore/simulation.hpp"
-#include "topology/grid5000.hpp"
+#include <string>
 
 namespace gridsim::harness {
 
@@ -41,65 +32,7 @@ void fold_double(std::uint64_t& h, double v) {
   fold_u64(h, bits);
 }
 
-/// Enables every trace category and wires digest collection. `out` must
-/// outlive the scenario run.
-SimHooks tracing_hooks(std::uint64_t seed, AuditRun* out) {
-  SimHooks hooks;
-  hooks.on_start = [](Simulation& sim) {
-    for (std::uint8_t k = 0;
-         k < static_cast<std::uint8_t>(TraceKind::kKindCount); ++k) {
-      sim.tracer().enable(static_cast<TraceKind>(k));
-    }
-  };
-  hooks.on_finish = [seed, out](Simulation& sim) {
-    out->events = sim.tracer().size();
-    out->final_time = sim.now();
-    std::uint64_t h = trace_digest(sim.tracer(), seed ^ 0xCBF29CE484222325ULL);
-    // Fold in the engine's final state: a run that diverges only in event
-    // count or end time (identical trace prefix) must still be caught.
-    fold_u64(h, sim.events_processed());
-    fold_u64(h, static_cast<std::uint64_t>(sim.now()));
-    out->digest = h;
-  };
-  return hooks;
-}
-
-void run_pingpong(const SimHooks& hooks) {
-  const auto cfg = profiles::configure(profiles::mpich2(),
-                                       profiles::TuningLevel::kFullyTuned);
-  PingpongOptions opt;
-  opt.sizes = pow2_sizes(1024, 1024 * 1024);
-  opt.rounds = 4;
-  (void)pingpong_sweep(topo::GridSpec::rennes_nancy(1), {0, 0, 1, 0}, cfg,
-                       opt, hooks);
-}
-
-void run_nas(const SimHooks& hooks) {
-  const auto cfg = profiles::configure(profiles::mpich2(),
-                                       profiles::TuningLevel::kTcpTuned);
-  (void)run_npb(topo::GridSpec::rennes_nancy(2), 4, npb::Kernel::kCG,
-                npb::Class::kS, cfg, /*timeout=*/0, hooks);
-}
-
-void run_ray2mesh_scenario(const SimHooks& hooks) {
-  const auto cfg = profiles::configure(profiles::gridmpi(),
-                                       profiles::TuningLevel::kTcpTuned);
-  apps::Ray2MeshConfig app;
-  app.total_rays = 20'000;  // 20 sets: enough scheduling to be interesting
-  app.merge_traffic_bytes = 2e6;
-  app.merge_compute_seconds = 2.0;
-  app.init_write_seconds = 1.0;
-  (void)apps::run_ray2mesh(topo::GridSpec::ray2mesh_quad(2), 0, cfg, app,
-                           hooks);
-}
-
 }  // namespace
-
-std::uint64_t trace_digest(const Tracer& tracer, std::uint64_t basis) {
-  std::uint64_t h = basis;
-  for (const TraceEvent& e : tracer.events()) fold_trace_event(h, e);
-  return h;
-}
 
 void fold_digest(std::uint64_t& h, std::uint64_t v) { fold_u64(h, v); }
 
@@ -109,38 +42,6 @@ void fold_trace_event(std::uint64_t& h, const TraceEvent& e) {
   fold_string(h, e.subject);
   fold_double(h, e.value);
   fold_string(h, e.detail);
-}
-
-std::vector<std::string> audit_scenario_names() {
-  return {"pingpong", "nas", "ray2mesh"};
-}
-
-AuditRun run_audit_scenario(const std::string& name, std::uint64_t seed) {
-  AuditRun out;
-  const SimHooks hooks = tracing_hooks(seed, &out);
-  if (name == "pingpong") {
-    run_pingpong(hooks);
-  } else if (name == "nas") {
-    run_nas(hooks);
-  } else if (name == "ray2mesh") {
-    run_ray2mesh_scenario(hooks);
-  } else {
-    throw std::invalid_argument("unknown audit scenario: " + name);
-  }
-  GRIDSIM_CHECK(out.events > 0,
-                "audit scenario '%s' produced an empty trace", name.c_str());
-  return out;
-}
-
-AuditResult audit_determinism(const std::string& name, std::uint64_t seed) {
-  AuditResult r;
-  r.scenario = name;
-  r.first = run_audit_scenario(name, seed);
-  r.second = run_audit_scenario(name, seed);
-  r.deterministic = r.first.digest == r.second.digest &&
-                    r.first.events == r.second.events &&
-                    r.first.final_time == r.second.final_time;
-  return r;
 }
 
 }  // namespace gridsim::harness

@@ -1,67 +1,27 @@
-// Determinism auditor.
+// Trace-digest primitives.
 //
 // The paper's every figure and table assumes the simulator is a
 // deterministic function of its inputs: events at equal timestamps fire in
 // FIFO order, so two runs of the same scenario must produce bit-identical
-// event traces. This module makes that promise checkable. It runs a named
-// scenario with every trace category enabled, folds the structured event
-// stream from `Tracer` plus the final engine state into a 64-bit FNV-1a
-// digest, runs the scenario again and fails on divergence — the symptom of
-// iteration-order nondeterminism, uninitialised reads or dangling-coroutine
-// resumption corrupting the schedule.
-//
-// The built-in scenarios cover the paper's three workload shapes:
-//   "pingpong"  the Section 3.1 micro-benchmark over the Rennes--Nancy WAN
-//   "nas"       an NPB CG class-S run over two sites
-//   "ray2mesh"  a reduced master/worker ray2mesh campaign over four sites
+// event traces. The campaign runner (harness/campaign.hpp) makes that
+// promise checkable by folding every trace event of every scenario into a
+// 64-bit FNV-1a digest as it is recorded; these are the fold steps it uses.
+// Iteration-order nondeterminism, uninitialised reads or dangling-coroutine
+// resumption corrupting the schedule all show up as a changed digest.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "simcore/trace.hpp"
 
 namespace gridsim::harness {
 
-/// Order-sensitive 64-bit FNV-1a digest of a trace. Every event contributes
-/// its timestamp, kind, subject, value bit pattern and detail string;
-/// `basis` salts the fold (pass the scenario seed).
-std::uint64_t trace_digest(const Tracer& tracer,
-                           std::uint64_t basis = 0x6A09E667F3BCC908ULL);
-
-/// Incremental-digest primitives: fold one value / one trace event into a
-/// running FNV-1a hash. `trace_digest` is exactly a left fold of
-/// `fold_trace_event` over the stored events, so a streaming consumer (a
-/// `Tracer` observer with storage off — how the campaign runner digests
-/// arbitrarily long scenarios in O(1) memory) produces the same digest as
-/// hashing a stored trace.
+/// Fold one 64-bit value into a running FNV-1a hash.
 void fold_digest(std::uint64_t& h, std::uint64_t v);
+
+/// Fold one trace event into a running FNV-1a hash. Every field contributes:
+/// timestamp, kind, subject, value bit pattern (one ulp of drift changes the
+/// digest) and detail string.
 void fold_trace_event(std::uint64_t& h, const TraceEvent& e);
-
-/// Names of the built-in auditable scenarios.
-std::vector<std::string> audit_scenario_names();
-
-/// One traced scenario execution.
-struct AuditRun {
-  std::uint64_t digest = 0;    ///< trace + engine-state digest
-  std::uint64_t events = 0;    ///< trace events hashed
-  std::int64_t final_time = 0; ///< virtual end time of the run (ns)
-};
-
-/// Runs scenario `name` once with full tracing and returns its digest.
-/// Throws std::invalid_argument for an unknown scenario.
-AuditRun run_audit_scenario(const std::string& name, std::uint64_t seed);
-
-/// Verdict of a double-run comparison.
-struct AuditResult {
-  std::string scenario;
-  AuditRun first;
-  AuditRun second;
-  bool deterministic = false;
-};
-
-/// Runs the scenario twice with identical seeds and compares digests.
-AuditResult audit_determinism(const std::string& name, std::uint64_t seed = 1);
 
 }  // namespace gridsim::harness

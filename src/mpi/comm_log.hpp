@@ -6,7 +6,7 @@
 // entry, the rendez-vous CTS handshake, and finalize-time leftovers — to a
 // per-Job trace. Recording is passive: it never touches the Tracer, the
 // event queue or any matching decision, so a logged run is event-for-event
-// identical to an unlogged one (campaign and audit digests are unchanged).
+// identical to an unlogged one (campaign digests are unchanged).
 //
 // The log is consumed offline by src/simlint (vector clocks, the R1-R3
 // communication-race rules, docs/race-detection.md) and by the

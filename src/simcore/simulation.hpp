@@ -178,7 +178,7 @@ class Simulation {
 /// runners that construct their Simulation internally call `on_start` right
 /// after the engine is built (before any process is spawned) and `on_finish`
 /// once the event loop has drained, while the engine is still alive. The
-/// determinism auditor uses them to enable tracing and hash the event trace
+/// campaign runner uses them to enable tracing and digest the event trace
 /// without the runners leaking their engine.
 struct SimHooks {
   std::function<void(Simulation&)> on_start;

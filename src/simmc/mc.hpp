@@ -1,6 +1,6 @@
 // DPOR-lite ordering model-checker over the scenario catalog.
 //
-// The determinism auditor proves "same seed, same answer". This subsystem
+// Campaign digests prove "same seed, same answer". This subsystem
 // upgrades the guarantee for wildcard-racing workloads to "any legal
 // matching order, same answer — and no matching order deadlocks": it
 // re-executes a scenario under a scripted MatchArbiter (mpi/match_arbiter.hpp)

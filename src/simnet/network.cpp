@@ -25,15 +25,8 @@ constexpr gridsim::SimTime kMaxCompletionCheck = gridsim::seconds(60);
 
 SolverMode initial_solver_mode() {
   const char* v = std::getenv("GRIDSIM_NET_ORACLE");
-  if (v == nullptr || *v == '\0') {
-#if defined(GRIDSIM_NET_ORACLE_DEFAULT)
-    return SolverMode::kGlobalOracle;
-#else
-    return SolverMode::kIncremental;
-#endif
-  }
-  if (std::strcmp(v, "0") == 0 || std::strcmp(v, "false") == 0 ||
-      std::strcmp(v, "off") == 0)
+  if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0 ||
+      std::strcmp(v, "false") == 0 || std::strcmp(v, "off") == 0)
     return SolverMode::kIncremental;
   return SolverMode::kGlobalOracle;
 }

@@ -162,7 +162,8 @@ class Network {
   /// Switches between the incremental solver and the global oracle. Only
   /// legal while no flows are active (mid-run switching would mix settle
   /// disciplines). The initial mode comes from the GRIDSIM_NET_ORACLE
-  /// environment variable (or the GRIDSIM_NET_ORACLE_DEFAULT build knob).
+  /// environment variable: unset, empty, "0", "false" or "off" select the
+  /// incremental solver, anything else the oracle.
   void set_solver_mode(SolverMode mode);
   /// Incremental-solver statistics: re-solve count, fast-path hits and the
   /// peak dirty-component size (perfbench's traced run reports these).

@@ -8,8 +8,6 @@
 //   gridsim ray2mesh  [--master SITE] [--rays N] [--impl NAME]
 //   gridsim simri     [--object N] [--nodes N]
 //   gridsim slowstart [--impl NAME] [--messages N] [--cross-traffic]
-//   gridsim audit     [--scenario pingpong|nas|ray2mesh|all] [--seed N]
-//                     [--expect HEXDIGEST]
 //   gridsim campaign  [--filter GLOB] [--jobs N] [--out DIR] [--seed N]
 //                     [--timeout-s N] [--render] [--list]
 //   gridsim mc        [--scenario GLOB] [--max-execs N] [--ranks-cap K]
@@ -23,10 +21,6 @@
 // Every subcommand parses its flags through the typed OptionParser
 // (tools/cli.hpp): declared options with defaults, `--key=value`, strict
 // numeric validation, unknown-flag errors and generated `--help`.
-//
-// `audit` is the determinism auditor: it runs each scenario twice with the
-// same seed, hashes the structured event trace and exits non-zero if the
-// two digests diverge (or if --expect names a different digest).
 //
 // `campaign` runs the paper's full experiment catalog (or a --filter glob
 // subset) on a worker-thread pool, trace-digesting every scenario, and
@@ -68,7 +62,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -80,7 +73,6 @@
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
 #include "harness/campaign.hpp"
-#include "harness/determinism.hpp"
 #include "harness/npb_campaign.hpp"
 #include "harness/pingpong.hpp"
 #include "harness/report.hpp"
@@ -336,56 +328,6 @@ int cmd_slowstart(int argc, char** argv) {
   for (const auto& s : series)
     std::printf("%.3f,%.1f\n", to_seconds(s.at), s.mbps);
   return 0;
-}
-
-int cmd_audit(int argc, char** argv) {
-  std::string which = "all", expect;
-  std::uint64_t seed = 1;
-  OptionParser parser(
-      "audit",
-      "Determinism auditor: run each scenario twice, compare trace digests.");
-  parser.string_opt("scenario", &which,
-                    "scenario name (pingpong|nas|ray2mesh) or 'all'")
-      .u64_opt("seed", &seed, "workload seed folded into both runs")
-      .string_opt("expect", &expect, "expected digest (16 hex digits)");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  std::vector<std::string> scenarios;
-  if (which == "all") {
-    scenarios = harness::audit_scenario_names();
-  } else {
-    scenarios.push_back(which);
-  }
-  bool ok = true;
-  for (const auto& name : scenarios) {
-    const auto res = harness::audit_determinism(name, seed);
-    std::printf("audit %-9s seed=%" PRIu64 " events=%" PRIu64
-                " digest=%016" PRIx64 " %s\n",
-                name.c_str(), seed, res.first.events, res.first.digest,
-                res.deterministic ? "DETERMINISTIC" : "DIVERGED");
-    if (!res.deterministic) {
-      std::fprintf(stderr,
-                   "audit %s: second run digest=%016" PRIx64 " events=%" PRIu64
-                   " (first run digest=%016" PRIx64 " events=%" PRIu64 ")\n",
-                   name.c_str(), res.second.digest, res.second.events,
-                   res.first.digest, res.first.events);
-      ok = false;
-      continue;
-    }
-    if (!expect.empty()) {
-      const std::uint64_t want =
-          std::strtoull(expect.c_str(), nullptr, 16);
-      if (res.first.digest != want) {
-        std::fprintf(stderr,
-                     "audit %s: digest %016" PRIx64 " != expected %016" PRIx64
-                     "\n",
-                     name.c_str(), res.first.digest, want);
-        ok = false;
-      }
-    }
-  }
-  return ok ? 0 : 1;
 }
 
 int cmd_campaign(int argc, char** argv) {
@@ -875,7 +817,6 @@ int usage() {
       "  ray2mesh   the paper's seismic ray tracer (Tables 6/7)\n"
       "  simri      MRI simulator scaling run\n"
       "  slowstart  cold-connection bandwidth series (Fig 9)\n"
-      "  audit      determinism auditor (trace digests)\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
       "  lint       happens-before communication-race analyzer\n"
@@ -899,7 +840,6 @@ int main(int argc, char** argv) {
     if (command == "ray2mesh") return cmd_ray2mesh(opt_argc, opt_argv);
     if (command == "simri") return cmd_simri(opt_argc, opt_argv);
     if (command == "slowstart") return cmd_slowstart(opt_argc, opt_argv);
-    if (command == "audit") return cmd_audit(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);
     if (command == "lint") return cmd_lint(opt_argc, opt_argv);
