@@ -594,6 +594,7 @@ Job::Job(topo::Grid& grid, std::vector<net::HostId> placement,
     ranks_.push_back(std::unique_ptr<Rank>(new Rank(*this, r++, h)));
     ranks_.back()->comm_ = comm_trace_;
   }
+  pairs_.resize(placement.size() * placement.size());
   idle_hook_id_ = sim().add_idle_hook([this] { return mc_resolve_one(); });
   blocked_reporter_id_ = sim().add_blocked_reporter(
       [this](std::vector<std::string>* out) { report_blocked(out); });
@@ -630,12 +631,25 @@ void Job::launch(std::function<Task<void>(Rank&)> rank_main) {
   for (auto& r : ranks_) sim().spawn(run_rank(rank_main, r.get()));
 }
 
+int Job::degraded_progress_events() const {
+  int n = 0;
+  for (const PairState& p : pairs_)
+    for (const auto& ch : p.streams)
+      if (ch) n += ch->stall_events();
+  return n;
+}
+
 tcp::TcpChannel& Job::channel(int from, int to, int stream) {
+  GRIDSIM_CHECK(from >= 0 && from < size() && to >= 0 && to < size() &&
+                    stream >= 0,
+                "Job::channel: bad pair %d -> %d (stream %d, job size %d)",
+                from, to, stream, size());
   // Streams beyond 0 share the (from, to) direction but get independent
-  // TCP state; encode the stream in the key's upper bits.
-  const auto key = std::make_pair(from + (stream << 20), to);
-  auto it = channels_.find(key);
-  if (it != channels_.end()) return *it->second;
+  // TCP state.
+  auto& streams = pair(from, to).streams;
+  const auto s = static_cast<std::size_t>(stream);
+  if (s < streams.size() && streams[s]) return *streams[s];
+  if (streams.size() <= s) streams.resize(s + 1);
 
   tcp::SocketOptions opts;
   switch (profile_.buffers) {
@@ -649,12 +663,10 @@ tcp::TcpChannel& Job::channel(int from, int to, int stream) {
       break;
   }
   opts.pacing = profile_.pacing;
-  auto ch = std::make_unique<tcp::TcpChannel>(
+  streams[s] = std::make_unique<tcp::TcpChannel>(
       grid_->network(), rank(from).host(), rank(to).host(), kernel_, kernel_,
       opts, tcp_params_);
-  auto* ptr = ch.get();
-  channels_.emplace(key, std::move(ch));
-  return *ptr;
+  return *streams[s];
 }
 
 void Job::transmit(int from, int to, double wire_bytes, MsgMeta meta) {
@@ -709,9 +721,26 @@ Task<void> Job::transmit_striped(int from, int to, double wire_bytes,
   co_await state->buffered.wait();
 }
 
-SimTime Job::pair_rtt(int r1, int r2) const {
-  return grid_->rtt(ranks_.at(static_cast<size_t>(r1))->host(),
-                    ranks_.at(static_cast<size_t>(r2))->host());
+const net::Route& Job::route(int from, int to) {
+  // Resolved on first use; Network::add_route overwrites in place, so the
+  // pointer stays valid and tracks later latency changes.
+  PairState& p = pair(from, to);
+  if (p.route == nullptr)
+    p.route = &grid_->network().route(rank(from).host(), rank(to).host());
+  return *p.route;
+}
+
+SimTime Job::pair_rtt(int r1, int r2) {
+  return route(r1, r2).latency + route(r2, r1).latency;
+}
+
+TrafficStats Job::traffic() const {
+  TrafficStats t = traffic_;
+  for (int from = 0; from < size(); ++from)
+    for (int to = 0; to < size(); ++to)
+      if (const PairState& p = pair(from, to); p.sent_payload)
+        t.pair_bytes.emplace(std::make_pair(from, to), p.payload_bytes);
+  return t;
 }
 
 void Job::record_payload(int src, int dst, double bytes, int tag) {
@@ -721,7 +750,9 @@ void Job::record_payload(int src, int dst, double bytes, int tag) {
                           tag >= kCollectiveTagBase ? "collective" : "p2p",
                           bytes);
   }
-  traffic_.pair_bytes[{src, dst}] += bytes;
+  PairState& p = pair(src, dst);
+  p.payload_bytes += bytes;
+  p.sent_payload = true;
   const auto size_key = static_cast<long long>(std::llround(bytes));
   if (tag >= kCollectiveTagBase) {
     ++traffic_.collective_messages;

@@ -62,7 +62,8 @@ struct TrafficStats {
   /// split by point-to-point vs collective tag space.
   std::map<long long, std::uint64_t> p2p_sizes;
   std::map<long long, std::uint64_t> collective_sizes;
-  /// Payload bytes per directed rank pair (all tag spaces).
+  /// Payload bytes per directed rank pair (all tag spaces), for every pair
+  /// that sent at least one payload.
   std::map<std::pair<int, int>, double> pair_bytes;
 };
 
@@ -200,16 +201,13 @@ class Job {
   const tcp::TcpModelParams& tcp_params() const { return tcp_params_; }
   topo::Grid& grid() { return *grid_; }
   Simulation& sim() { return grid_->network().sim(); }
-  TrafficStats& traffic() { return traffic_; }
+  /// The job's traffic so far.
+  TrafficStats traffic() const;
 
   /// Total TCP stall (RTO-like retry) events across this job's channels:
   /// the MPI-visible face of injected WAN faults (simfault). Zero on a
   /// healthy network.
-  int degraded_progress_events() const {
-    int n = 0;
-    for (const auto& [key, ch] : channels_) n += ch->stall_events();
-    return n;
-  }
+  int degraded_progress_events() const;
 
   /// Spawns `rank_main(rank)` for every rank.
   void launch(std::function<Task<void>(Rank&)> rank_main);
@@ -231,7 +229,7 @@ class Job {
                               MsgMeta meta, int streams);
 
   /// Round-trip time between two ranks' hosts.
-  SimTime pair_rtt(int r1, int r2) const;
+  SimTime pair_rtt(int r1, int r2);
 
   void record_payload(int src, int dst, double bytes, int tag);
 
@@ -244,6 +242,26 @@ class Job {
   }
 
  private:
+  /// Per directed rank pair: everything the per-message path would
+  /// otherwise look up in a map.
+  struct PairState {
+    /// The pair's TCP channels by stream, each created on first use.
+    std::vector<std::unique_ptr<tcp::TcpChannel>> streams;
+    /// Host of `from` -> host of `to`; null until route() first needs it.
+    const net::Route* route = nullptr;
+    double payload_bytes = 0;
+    bool sent_payload = false;
+  };
+  PairState& pair(int from, int to) {
+    return pairs_[static_cast<std::size_t>(from) * ranks_.size() +
+                  static_cast<std::size_t>(to)];
+  }
+  const PairState& pair(int from, int to) const {
+    return pairs_[static_cast<std::size_t>(from) * ranks_.size() +
+                  static_cast<std::size_t>(to)];
+  }
+  const net::Route& route(int from, int to);
+
   static Task<void> run_rank(std::function<Task<void>(Rank&)> main,
                              Rank* rank);
   /// Idle hook: resolves one parked wildcard receive through the arbiter
@@ -260,8 +278,8 @@ class Job {
   std::uint64_t idle_hook_id_ = 0;
   std::uint64_t blocked_reporter_id_ = 0;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::map<std::pair<int, int>, std::unique_ptr<tcp::TcpChannel>> channels_;
-  TrafficStats traffic_;
+  std::vector<PairState> pairs_;  ///< from * size() + to
+  TrafficStats traffic_;  ///< all but pair_bytes (see PairState)
   MessageRecorder recorder_;
 };
 

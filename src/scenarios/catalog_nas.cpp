@@ -574,7 +574,8 @@ void register_ext_traffic_matrix(ScenarioRegistry& reg) {
       if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
       double lan = 0, wan = 0;
       std::uint64_t wan_pairs = 0;
-      for (const auto& [pair, bytes] : job.traffic().pair_bytes) {
+      const mpi::TrafficStats traffic = job.traffic();
+      for (const auto& [pair, bytes] : traffic.pair_bytes) {
         const bool crosses = grid.site_of(job.rank(pair.first).host()) !=
                              grid.site_of(job.rank(pair.second).host());
         (crosses ? wan : lan) += bytes;

@@ -1,4 +1,5 @@
-// Small-buffer-optimized callback for the event engine hot path.
+// Small-buffer-optimized callback for the event engine hot path, and the
+// engine's one small-block pool.
 //
 // Every scheduled event used to carry a `std::function<void()>`, which heap
 // allocates for any capture over 16 bytes — and almost every interesting
@@ -6,9 +7,16 @@
 // generation counter) is bigger than that. `Callback` stores captures of up
 // to `kCallbackInlineSize` (48) bytes inline, provided they are trivially
 // copyable and trivially destructible, which covers every hot callback in
-// the simulator. Oversized or non-trivial captures fall back to a pooled
-// free list (`detail::callback_alloc`), so even the slow path does not hit
-// the global allocator once the pool is warm.
+// the simulator. Oversized or non-trivial captures spill to the pool.
+//
+// The pool (`detail::pool_alloc` / `detail::pool_free`, callback.cpp) is a
+// thread-local set of size-class free lists. It serves spilled callback
+// payloads and, through `operator new`/`operator delete` on the coroutine
+// promise types (simcore/task.hpp, simulation.cpp), every coroutine frame,
+// so once a run is warm neither scheduling an event nor calling a coroutine
+// touches the global allocator. Under AddressSanitizer a pooled block is
+// poisoned while it sits on a free list, so touching a destroyed frame or a
+// freed payload is still reported (use-after-poison).
 //
 // `Callback` is move-only and trivially relocatable by construction: every
 // state is either a trivially copyable inline buffer or a raw owning
@@ -17,10 +25,11 @@
 // calls.
 //
 // Instrumentation: `callback_stats()` counts how many payloads spilled out
-// of the inline buffer and how many pool requests missed the free list and
-// had to call `operator new`. perfbench's traced run reports both
-// (`simcore.callback_spills`, `simcore.pool_misses`), so an accidental
-// regression of the zero-allocation property shows up there.
+// of the inline buffer and how many of those missed the pool's free lists
+// and had to call `operator new` (coroutine frames are not counted).
+// perfbench's traced run reports both (`simcore.callback_spills`,
+// `simcore.pool_misses`), so an accidental regression of the
+// zero-allocation property shows up there.
 #pragma once
 
 #include <cstddef>
@@ -37,12 +46,16 @@ namespace detail {
 
 inline constexpr std::size_t kCallbackInlineSize = 48;
 
-/// Allocates storage for an out-of-line callback payload. Sizes up to the
-/// pool block size are served from a free list; larger ones go straight to
+/// Allocates `size` bytes from the calling thread's pool. Sizes up to the
+/// largest size class are served from that class's free list (falling back
+/// to `operator new` when it is empty); larger ones go straight to
 /// `operator new`.
+void* pool_alloc(std::size_t size);
+/// Returns a block obtained from `pool_alloc` (or `callback_alloc`) with the
+/// same `size`.
+void pool_free(void* p, std::size_t size) noexcept;
+/// `pool_alloc` for a spilled callback payload; counted in CallbackStats.
 void* callback_alloc(std::size_t size);
-/// Returns payload storage obtained from `callback_alloc`.
-void callback_free(void* p, std::size_t size) noexcept;
 
 }  // namespace detail
 
@@ -89,7 +102,7 @@ class Callback {
       try {
         store_.heap = ::new (mem) Fn(std::forward<F>(f));
       } catch (...) {
-        detail::callback_free(mem, sizeof(Fn));
+        detail::pool_free(mem, sizeof(Fn));
         throw;
       }
       invoke_ = &invoke_heap<Fn>;
@@ -98,13 +111,14 @@ class Callback {
   }
 
   // Moves copy the whole union regardless of how much of it the payload
-  // uses; the tail bytes are indeterminate but only ever copied as raw
-  // bytes, never interpreted. GCC's -Wmaybe-uninitialized cannot see that
-  // and warns at inlined call sites, so it is silenced for these two
-  // members only.
+  // uses; the tail bytes (all of them, for a null callback) are
+  // indeterminate but only ever copied as raw bytes, never interpreted.
+  // GCC's -W(maybe-)uninitialized cannot see that and warns at inlined call
+  // sites, so both are silenced for these two members only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
   Callback(Callback&& other) noexcept
       : invoke_(other.invoke_), destroy_(other.destroy_) {
@@ -158,7 +172,7 @@ class Callback {
   static void destroy_heap(void* s) noexcept {
     Fn* fn = static_cast<Fn*>(static_cast<Storage*>(s)->heap);
     fn->~Fn();
-    detail::callback_free(fn, sizeof(Fn));
+    detail::pool_free(fn, sizeof(Fn));
   }
 
   using InvokeFn = void (*)(void*);

@@ -16,9 +16,16 @@ namespace {
 }
 
 // Fire-and-forget driver coroutine. Its frame owns the user task; the frame
-// self-destroys at completion (final_suspend = suspend_never).
+// self-destroys at completion (final_suspend = suspend_never). Like task
+// frames, it comes from the engine's pool.
 struct Detached {
   struct promise_type {
+    static void* operator new(std::size_t size) {
+      return detail::pool_alloc(size);
+    }
+    static void operator delete(void* frame, std::size_t size) noexcept {
+      detail::pool_free(frame, size);
+    }
     Detached get_return_object() {
       return Detached{
           std::coroutine_handle<promise_type>::from_promise(*this)};

@@ -148,8 +148,6 @@ class Simulation {
   }
 
  private:
-  struct SpawnState;  // keeps the root task alive until it completes
-  static Task<void> drive(Simulation& sim, std::shared_ptr<SpawnState> state);
   static CheckContext check_context_of(const void* self);
 
   bool resolve_idle();

@@ -30,17 +30,19 @@ inline constexpr std::uint32_t kDeadCanary = 0xDEADDEADu;
 }  // namespace detail
 
 /// One-shot broadcast event: any number of waiters, released when fire()d.
-/// Waiting on an already-fired trigger completes immediately.
+/// Waiting on an already-fired trigger completes immediately. The first
+/// waiter is kept inline (almost every trigger has exactly one), later ones
+/// in a vector; they resume in the order they started waiting.
 class Trigger {
  public:
   explicit Trigger(Simulation& sim) : sim_(sim) {}
   Trigger(const Trigger&) = delete;
   Trigger& operator=(const Trigger&) = delete;
   ~Trigger() {
-    GRIDSIM_DCHECK(waiters_.empty(),
+    GRIDSIM_DCHECK(!first_,
                    "Trigger destroyed with %zu blocked waiters; they can "
                    "never be resumed",
-                   waiters_.size());
+                   waiters_.size() + 1);
     canary_ = detail::kDeadCanary;
   }
 
@@ -51,6 +53,8 @@ class Trigger {
                    "Trigger::fire on a destroyed Trigger");
     if (fired_) return;
     fired_ = true;
+    if (!first_) return;
+    sim_.post([h = std::exchange(first_, {})] { h.resume(); });
     for (auto h : waiters_) sim_.post([h] { h.resume(); });
     waiters_.clear();
   }
@@ -62,7 +66,10 @@ class Trigger {
       void await_suspend(std::coroutine_handle<> h) {
         GRIDSIM_DCHECK(t.canary_ == detail::kAliveCanary,
                        "Trigger::wait on a destroyed Trigger");
-        t.waiters_.push_back(h);
+        if (t.first_)
+          t.waiters_.push_back(h);
+        else
+          t.first_ = h;
       }
       void await_resume() const noexcept {}
     };
@@ -73,7 +80,8 @@ class Trigger {
   Simulation& sim_;
   bool fired_ = false;
   std::uint32_t canary_ = detail::kAliveCanary;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;  ///< earliest waiter, if any
+  std::vector<std::coroutine_handle<>> waiters_;  ///< the ones after it
 };
 
 /// Single-producer, single-consumer one-shot value. The consumer may wait

@@ -9,13 +9,19 @@
 // Exceptions thrown inside a task propagate to the awaiter; an exception
 // escaping a *spawned* (detached) task terminates the simulation, because a
 // simulated process with no parent has nowhere to report failure.
+//
+// Coroutine frames come from the engine's small-block pool (see
+// simcore/callback.hpp), so a warm run calls coroutines without touching the
+// global allocator.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
+#include "simcore/callback.hpp"
 #include "simcore/check.hpp"
 
 namespace gridsim {
@@ -28,6 +34,13 @@ namespace detail {
 class TaskPromiseBase {
  public:
   std::coroutine_handle<> continuation;
+
+  // Frame allocation: the sized delete receives the frame size, which picks
+  // the pool's size class.
+  static void* operator new(std::size_t size) { return pool_alloc(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    pool_free(frame, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

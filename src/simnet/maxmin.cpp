@@ -79,7 +79,7 @@ void Solver::collect_component(const BipartiteIndex& index,
   }
 
   // The reference solver iterates links by ascending index and flows by
-  // ascending id; replicate both so tie-breaks land identically.
+  // ascending order; replicate both so tie-breaks land identically.
   std::sort(comp_links_.begin(), comp_links_.end());
   std::sort(comp_flows_.begin(), comp_flows_.end(),
             [](const FlowState* a, const FlowState* b) {

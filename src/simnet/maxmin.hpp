@@ -53,9 +53,10 @@ struct FlowState {
   /// Position of this flow inside each crossed link's flow list, parallel
   /// to `links`. Maintained by BipartiteIndex.
   std::vector<std::uint32_t> link_pos;
-  /// Stable solve order (the Network uses the flow id): progressive filling
-  /// breaks cap ties by the first flow in this order, so it must match the
-  /// reference solver's sorted-id iteration for bit-identical results.
+  /// Stable solve order (the Network's arrival counter): progressive
+  /// filling breaks cap ties by the first flow in this order, so it must
+  /// match the reference solver's iteration order for bit-identical
+  /// results.
   std::uint64_t order = 0;
   /// Component-BFS epoch stamp (Solver-internal).
   std::uint64_t mark = 0;

@@ -90,8 +90,7 @@ const Route& Network::route(HostId src, HostId dst) const {
   return it->second;
 }
 
-double Network::path_capacity(HostId src, HostId dst) const {
-  const Route& r = route(src, dst);
+double Network::path_capacity(const Route& r) const {
   double cap = kUnlimitedRate;
   for (LinkId l : r.links) cap = std::min(cap, link(l).capacity);
   return cap;
@@ -128,60 +127,81 @@ void Network::set_link_latency(LinkId l, SimTime latency) {
   }
 }
 
-FlowId Network::start_flow(HostId src, HostId dst, double bytes,
-                           double rate_cap, std::function<void()> on_complete) {
+FlowId Network::start_flow(const Route& r, double bytes, double rate_cap,
+                           Callback on_complete) {
   if (bytes < 0) throw std::invalid_argument("negative flow size");
-  const Route& r = route(src, dst);  // throws if unknown
-  Flow f;
-  f.id = next_flow_id_++;
-  f.links = r.links;
-  f.remaining = bytes;
+  Flow& f = acquire_flow();
+  f.links = r.links;  // reuses the recycled flow's capacity
   f.rate_cap = std::max(rate_cap, kMinRate);
+  f.rate = 0;
+  f.achievable = 0;
+  f.order = next_order_++;
+  f.mark = 0;
+  f.remaining = bytes;
   f.on_complete = std::move(on_complete);
-  f.order = f.id;  // progressive filling breaks cap ties by arrival order
+  f.completion_gen = 0;
+  f.scheduled_eta = kSimTimeNever;
   f.last_settle = sim_.now();
   f.settle_idx = touch_times_.size();
-  const FlowId id = f.id;
-  Flow& flow = flows_.emplace(id, std::move(f)).first->second;
-  index_.add(&flow);
-  begin_mutation(flow.links, &flow);
+  index_.add(&f);
+  begin_mutation(f.links, &f);
   solve_and_schedule();
-  return id;
+  return f.id;
+}
+
+Network::Flow& Network::acquire_flow() {
+  std::uint32_t slot;
+  if (free_flow_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(flow_slots_.size());
+    flow_slots_.push_back(std::make_unique<Flow>());
+  } else {
+    slot = free_flow_slots_.back();
+    free_flow_slots_.pop_back();
+  }
+  Flow& f = *flow_slots_[slot];
+  if (++f.generation == 0) f.generation = 1;  // keep every id non-zero
+  f.id = (static_cast<FlowId>(f.generation) << 32) | slot;
+  ++active_flows_;
+  return f;
+}
+
+void Network::release_flow(Flow& f) {
+  index_.remove(&f);
+  if (mode_ == SolverMode::kIncremental) solver_.remove_from_component(&f);
+  forget_done_pending(f.id);
+  free_flow_slots_.push_back(static_cast<std::uint32_t>(f.id));
+  f.id = kInvalidFlow;
+  f.on_complete = nullptr;
+  --active_flows_;
 }
 
 void Network::set_rate_cap(FlowId id, double rate_cap) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  begin_mutation(it->second.links, &it->second);
-  it->second.rate_cap = std::max(rate_cap, kMinRate);
+  Flow* f = find_flow(id);
+  if (f == nullptr) return;
+  begin_mutation(f->links, f);
+  f->rate_cap = std::max(rate_cap, kMinRate);
   solve_and_schedule();
 }
 
 void Network::cancel_flow(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  Flow& f = it->second;
+  Flow* f = find_flow(id);
+  if (f == nullptr) return;
   // The dying flow is settled with its component (its final byte chunk must
   // land in bytes_carried) but is excluded from the re-solve.
-  begin_mutation(f.links, &f);
-  index_.remove(&f);
-  if (mode_ == SolverMode::kIncremental) solver_.remove_from_component(&f);
-  forget_done_pending(id);
-  flows_.erase(it);
+  begin_mutation(f->links, f);
+  release_flow(*f);
   solve_and_schedule();
 }
 
 FlowInfo Network::flow_info(FlowId id) const {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return {};
-  const Flow& f = it->second;
-  return FlowInfo{f.rate, f.achievable, projected_remaining(f)};
+  const Flow* f = find_flow(id);
+  if (f == nullptr) return {};
+  return FlowInfo{f->rate, f->achievable, projected_remaining(*f)};
 }
 
 double Network::flow_remaining(FlowId id) const {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return 0;
-  return projected_remaining(it->second);
+  const Flow* f = find_flow(id);
+  return f == nullptr ? 0 : projected_remaining(*f);
 }
 
 double Network::link_utilization(LinkId l) const {
@@ -191,7 +211,7 @@ double Network::link_utilization(LinkId l) const {
 }
 
 void Network::set_solver_mode(SolverMode mode) {
-  GRIDSIM_CHECK(flows_.empty(),
+  GRIDSIM_CHECK(active_flows_ == 0,
                 "solver mode can only change while no flows are active");
   mode_ = mode;
   done_pending_.clear();
@@ -208,10 +228,11 @@ void Network::register_touch() {
   // everything replays each pending (flow, segment) pair — work the lazy
   // scheme owes anyway — after which the log can restart empty.
   if (touch_times_.size() >= 4096 &&
-      touch_times_.size() >= 4 * flows_.size()) {
-    for (auto& [id, f] : flows_) settle_flow(f);
+      touch_times_.size() >= 4 * static_cast<std::size_t>(active_flows_)) {
+    for (const auto& f : flow_slots_)
+      if (f->id != kInvalidFlow) settle_flow(*f);
     touch_times_.clear();
-    for (auto& [id, f] : flows_) f.settle_idx = 0;
+    for (const auto& f : flow_slots_) f->settle_idx = 0;
   }
 }
 
@@ -276,7 +297,9 @@ void Network::settle_all() {
   if (now == last_settle_) return;
   const double dt = to_seconds(now - last_settle_);
   last_settle_ = now;
-  for (auto& [id, f] : flows_) {
+  for (const auto& slot : flow_slots_) {
+    Flow& f = *slot;
+    if (f.id == kInvalidFlow) continue;
     const double moved = f.rate * dt;
     f.remaining = std::max(0.0, f.remaining - moved);
     f.last_settle = now;
@@ -324,12 +347,12 @@ void Network::schedule_after_component_solve() {
   }
 #endif
   // Bulk completion path. The oracle's post-solve loop visits *every* flow
-  // in id order; besides the component, it inserts queue events for two
+  // in arrival order; besides the component, it inserts queue events for two
   // kinds of outside flows: done-pending ones (each visit re-posts,
   // invalidating the previous post via the generation counter) and flows
   // its global settle just pushed across the done threshold — only
   // possible when their completion check is due at this exact instant.
-  // Merge all three sets in the oracle's id order; every other flow
+  // Merge all three sets in the oracle's order; every other flow
   // contributes no insertion there (the eta guard returns), so skipping
   // them changes nothing.
   sched_scratch_.clear();
@@ -339,9 +362,9 @@ void Network::schedule_after_component_solve() {
   while (!eta_heap_.empty() && eta_heap_.top().first <= now) {
     const auto [eta, id] = eta_heap_.top();
     eta_heap_.pop();
-    auto it = flows_.find(id);
-    if (it == flows_.end() || it->second.scheduled_eta != eta) continue;
-    Flow& f = it->second;
+    Flow* fp = find_flow(id);
+    if (fp == nullptr || fp->scheduled_eta != eta) continue;
+    Flow& f = *fp;
     if (solver_.in_component(&f)) continue;
     settle_flow(f);
     if (f.remaining > kByteEpsilon) continue;  // re-arms from its own check
@@ -353,10 +376,9 @@ void Network::schedule_after_component_solve() {
       sched_scratch_.push_back(&f);
   }
   for (FlowId id : done_pending_) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    if (!solver_.in_component(&it->second))
-      sched_scratch_.push_back(&it->second);
+    Flow* f = find_flow(id);
+    assert(f != nullptr);
+    if (!solver_.in_component(f)) sched_scratch_.push_back(f);
   }
   if (sched_scratch_.size() > solver_.comp_flows().size())
     std::sort(sched_scratch_.begin(), sched_scratch_.end(),
@@ -365,16 +387,19 @@ void Network::schedule_after_component_solve() {
 }
 
 void Network::solve_global_reference() {
-  // Iterate in id order for determinism (unordered_map order is not stable).
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (auto& [id, f] : flows_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  // Iterate in arrival order, the order the solver breaks ties by (slot
+  // order depends on which slots happened to be free).
   std::vector<maxmin::FlowState*> by_order;
-  by_order.reserve(ids.size());
-  for (FlowId id : ids) by_order.push_back(&flows_[id]);
+  by_order.reserve(static_cast<std::size_t>(active_flows_));
+  for (const auto& f : flow_slots_)
+    if (f->id != kInvalidFlow) by_order.push_back(f.get());
+  std::sort(by_order.begin(), by_order.end(),
+            [](const maxmin::FlowState* a, const maxmin::FlowState* b) {
+              return a->order < b->order;
+            });
   maxmin::solve_global_reference(by_order, links_.size(), link_capacity_);
-  for (FlowId id : ids) schedule_completion(flows_[id]);
+  for (maxmin::FlowState* f : by_order)
+    schedule_completion(*static_cast<Flow*>(f));
 }
 
 void Network::schedule_completion(Flow& f) {
@@ -386,9 +411,8 @@ void Network::schedule_completion(Flow& f) {
             done_pending_.end())
       done_pending_.push_back(id);
     sim_.post([this, id, gen] {
-      auto it = flows_.find(id);
-      if (it != flows_.end() && it->second.completion_gen == gen)
-        finish_flow(id);
+      Flow* live = find_flow(id);
+      if (live != nullptr && live->completion_gen == gen) finish_flow(*live);
     });
     return;
   }
@@ -403,36 +427,30 @@ void Network::schedule_completion(Flow& f) {
   f.scheduled_eta = eta;
   if (mode_ == SolverMode::kIncremental) eta_heap_.emplace(eta, id);
   sim_.at(eta, [this, id, gen] {
-    auto it = flows_.find(id);
-    if (it == flows_.end() || it->second.completion_gen != gen) return;
+    Flow* live = find_flow(id);
+    if (live == nullptr || live->completion_gen != gen) return;
     if (mode_ == SolverMode::kGlobalOracle) {
       settle_all();
     } else {
       // Only this flow's remaining is inspected; everyone else's rate is
       // untouched, so nothing forces them to settle here.
       register_touch();
-      settle_flow(it->second);
+      settle_flow(*live);
     }
-    if (it->second.remaining <= kByteEpsilon) {
-      finish_flow(id);
+    if (live->remaining <= kByteEpsilon) {
+      finish_flow(*live);
     } else {
-      it->second.scheduled_eta = kSimTimeNever;
-      schedule_completion(it->second);
+      live->scheduled_eta = kSimTimeNever;
+      schedule_completion(*live);
     }
   });
 }
 
-void Network::finish_flow(FlowId id) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  Flow& f = it->second;
+void Network::finish_flow(Flow& f) {
   begin_mutation(f.links, &f);
   assert(f.remaining <= 1.0 + 1e-9 * f.rate);
-  std::function<void()> cb = std::move(f.on_complete);
-  index_.remove(&f);
-  if (mode_ == SolverMode::kIncremental) solver_.remove_from_component(&f);
-  forget_done_pending(id);
-  flows_.erase(it);
+  Callback cb = std::move(f.on_complete);
+  release_flow(f);
   solve_and_schedule();
   if (cb) cb();
 }

@@ -8,6 +8,13 @@
 // completions are scheduled from the allocation and invalidated by a
 // generation counter when a re-solve moves them.
 //
+// Flows live in a slot map of recycled `Flow` objects: a `FlowId` is the
+// slot's generation in the high 32 bits and the slot index in the low 32,
+// so a lookup is one index and one compare, and the id of a finished flow
+// never names the flow that later reuses its slot. A recycled flow keeps
+// the capacity of its route vectors, so starting a flow allocates nothing
+// once the network is warm.
+//
 // The re-solve is *incremental* (simnet/maxmin.hpp): a persistent
 // flow<->link bipartite index tracks which flows cross which links, each
 // mutation seeds a dirty set, and only the connected component of
@@ -26,13 +33,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "simcore/callback.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
 #include "simnet/maxmin.hpp"
@@ -41,6 +49,8 @@ namespace gridsim::net {
 
 using HostId = int;
 using LinkId = int;
+/// Slot generation << 32 | slot index; generations start at 1, so no
+/// valid id is 0.
 using FlowId = std::uint64_t;
 
 inline constexpr FlowId kInvalidFlow = 0;
@@ -94,8 +104,10 @@ class Network {
   LinkId add_link(std::string name, double capacity_bytes_per_sec,
                   SimTime latency, double queue_bytes);
   /// Registers the path src -> dst (and, if `symmetric`, dst -> src with the
-  /// links reversed). Re-registering overwrites. A route must not cross the
-  /// same link twice (the bipartite index keeps one entry per crossing).
+  /// links reversed). Re-registering overwrites in place, so a `Route&`
+  /// obtained from route() stays valid for the network's lifetime and sees
+  /// later changes. A route must not cross the same link twice (the
+  /// bipartite index keeps one entry per crossing).
   void add_route(HostId src, HostId dst, std::vector<LinkId> links,
                  bool symmetric = true);
 
@@ -115,7 +127,10 @@ class Network {
     return route(src, dst).latency;
   }
   /// Smallest link capacity along the route (B/s).
-  double path_capacity(HostId src, HostId dst) const;
+  double path_capacity(HostId src, HostId dst) const {
+    return path_capacity(route(src, dst));
+  }
+  double path_capacity(const Route& r) const;
   /// Smallest queue along the route (bytes); the burst budget for TCP.
   double path_queue(HostId src, HostId dst) const;
 
@@ -137,12 +152,19 @@ class Network {
   /// the event queue) when the last byte has left the sender-side fluid
   /// pipe; propagation latency is applied by the caller (the TCP layer).
   FlowId start_flow(HostId src, HostId dst, double bytes, double rate_cap,
-                    std::function<void()> on_complete);
+                    Callback on_complete) {
+    return start_flow(route(src, dst), bytes, rate_cap,
+                      std::move(on_complete));
+  }
+  /// Same, along a route obtained from route() (no lookup).
+  FlowId start_flow(const Route& route, double bytes, double rate_cap,
+                    Callback on_complete);
   /// Updates a flow's rate cap (TCP window changes). No-op on unknown ids.
   void set_rate_cap(FlowId id, double rate_cap);
-  /// Aborts a flow without firing its completion.
+  /// Aborts a flow without firing its completion. No-op on unknown ids.
   void cancel_flow(FlowId id);
-  bool flow_active(FlowId id) const { return flows_.count(id) != 0; }
+  bool flow_active(FlowId id) const { return find_flow(id) != nullptr; }
+  /// All zero for unknown ids.
   FlowInfo flow_info(FlowId id) const;
 
   /// Bytes not yet transferred, quantized at the network's last settle
@@ -152,7 +174,7 @@ class Network {
   /// mutating it; 0 for unknown ids.
   double flow_remaining(FlowId id) const;
 
-  int active_flow_count() const { return static_cast<int>(flows_.size()); }
+  int active_flow_count() const { return active_flows_; }
   /// Total allocated rate crossing `l` right now (<= capacity). Reads the
   /// persistent per-link flow list: O(flows on l), not O(flows x links).
   double link_utilization(LinkId l) const;
@@ -173,9 +195,10 @@ class Network {
 
  private:
   struct Flow : maxmin::FlowState {
-    FlowId id = kInvalidFlow;
+    FlowId id = kInvalidFlow;  ///< kInvalidFlow while the slot is free
+    std::uint32_t generation = 0;  ///< high half of the slot's next id
     double remaining = 0;
-    std::function<void()> on_complete;
+    Callback on_complete;
     std::uint64_t completion_gen = 0;
     SimTime scheduled_eta = kSimTimeNever;  ///< earliest pending check
     SimTime last_settle = 0;  ///< per-flow settle anchor (lazy settle)
@@ -211,8 +234,20 @@ class Network {
   /// component flows, merged with the bulk re-post of done-pending flows.
   void schedule_after_component_solve();
 
+  /// The live flow `id` names, or null (unknown, finished or cancelled).
+  Flow* find_flow(FlowId id) const {
+    const auto slot = static_cast<std::uint32_t>(id);
+    if (id == kInvalidFlow || slot >= flow_slots_.size()) return nullptr;
+    Flow* f = flow_slots_[slot].get();
+    return f->id == id ? f : nullptr;
+  }
+  /// Takes a free slot (or a new one) and gives it a fresh id.
+  Flow& acquire_flow();
+  /// Drops a finished or cancelled flow from the index and frees its slot.
+  void release_flow(Flow& f);
+
   void schedule_completion(Flow& f);
-  void finish_flow(FlowId id);
+  void finish_flow(Flow& f);
   void forget_done_pending(FlowId id);
 
   Simulation& sim_;
@@ -222,7 +257,13 @@ class Network {
   /// add_link / set_link_capacity).
   std::vector<double> link_capacity_;
   std::unordered_map<std::uint64_t, Route> routes_;  // key = src<<32 | dst
-  std::unordered_map<FlowId, Flow> flows_;
+  /// The flow slot map. Flows are heap objects so their addresses (held by
+  /// the index and the solver) survive the table's growth.
+  std::vector<std::unique_ptr<Flow>> flow_slots_;
+  std::vector<std::uint32_t> free_flow_slots_;
+  int active_flows_ = 0;
+  /// Arrival counter: progressive filling breaks cap ties by it.
+  std::uint64_t next_order_ = 1;
   maxmin::BipartiteIndex index_;
   maxmin::Solver solver_;
   /// Flows whose completion post is in flight (remaining hit zero, the
@@ -257,7 +298,6 @@ class Network {
   /// clear) whenever it outgrows the flow population.
   std::vector<SimTime> touch_times_;
   SolverMode mode_;
-  FlowId next_flow_id_ = 1;
   /// When the oracle's global settle would last have run: every mutation
   /// and completion check bumps it (lazy settle quantizes reads here).
   SimTime last_touch_ = 0;

@@ -39,6 +39,7 @@ TcpChannel::TcpChannel(net::Network& network, net::HostId src, net::HostId dst,
       sim_(network.sim()),
       src_(src),
       dst_(dst),
+      route_(&network.route(src, dst)),
       params_(params),
       options_(options),
       pacing_(options.pacing),
@@ -49,7 +50,7 @@ TcpChannel::TcpChannel(net::Network& network, net::HostId src, net::HostId dst,
   rcv_limit_ = effective_buffer(options.rcvbuf, rcv_kernel.rmem_max,
                                 rcv_kernel.tcp_rmem,
                                 options.lock_buffers_to_initial);
-  rtt_ = 2 * net_.path_latency(src, dst);
+  rtt_ = 2 * route_->latency;
   queue_budget_ = net_.path_queue(src, dst);
   cwnd_ = params_.initial_window_mss * params_.mss;
   ssthresh_ = std::numeric_limits<double>::infinity();
@@ -72,15 +73,15 @@ double TcpChannel::rate_cap(double remaining_bytes) const {
   const double w = window();
   if (remaining_bytes <= w) return net::kUnlimitedRate;
   const double rtt_s = to_seconds(std::max<SimTime>(rtt_, 1));
-  const double c = net_.path_capacity(src_, dst_);
+  const double c = net_.path_capacity(*route_);
   if (w >= c * rtt_s) return net::kUnlimitedRate;
   const double duration =
       std::max(rtt_s + remaining_bytes / c, remaining_bytes * rtt_s / w);
   return remaining_bytes / duration;
 }
 
-void TcpChannel::send(double bytes, std::function<void()> on_buffered,
-                      std::function<void()> on_delivered) {
+void TcpChannel::send(double bytes, Callback on_buffered,
+                      Callback on_delivered) {
   GRIDSIM_CHECK(bytes >= 0 && std::isfinite(bytes),
                 "TcpChannel::send: bad byte count %g", bytes);
   Segment seg;
@@ -123,7 +124,7 @@ Task<void> TcpChannel::send_delivered(double bytes) {
 void TcpChannel::start_head_segment() {
   GRIDSIM_DCHECK(!segments_.empty());
   GRIDSIM_DCHECK(flow_ == net::kInvalidFlow);
-  flow_ = net_.start_flow(src_, dst_, segments_.front().bytes,
+  flow_ = net_.start_flow(*route_, segments_.front().bytes,
                           rate_cap(segments_.front().bytes),
                           [this] { on_head_drained(); });
 }
@@ -155,7 +156,8 @@ void TcpChannel::on_head_drained() {
 
   // Space freed in the send buffer: fire pending on_buffered callbacks whose
   // thresholds are now met (FIFO, thresholds are monotonic).
-  for (auto& pending : segments_) {
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    Segment& pending = segments_[i];
     if (pending.buffered_fired) continue;
     if (drained_ >= pending.buffered_threshold) {
       pending.buffered_fired = true;
@@ -170,22 +172,34 @@ void TcpChannel::on_head_drained() {
 
   // The last byte left the fluid pipe now; it reaches the receiver one
   // propagation delay later.
-  const double bytes = seg.bytes;
   if (seg.on_delivered) {
-    sim_.after(net_.path_latency(src_, dst_),
-               [this, bytes, cb = std::move(seg.on_delivered)] {
-                 bytes_delivered_ += bytes;
-                 GRIDSIM_CHECK(bytes_delivered_ <= drained_,
-                               "TcpChannel: delivered %.17g bytes but only "
-                               "%.17g ever drained",
-                               bytes_delivered_, drained_);
-                 cb();
-               });
+    std::uint32_t slot;
+    if (free_deliveries_.empty()) {
+      slot = static_cast<std::uint32_t>(deliveries_.size());
+      deliveries_.emplace_back();
+    } else {
+      slot = free_deliveries_.back();
+      free_deliveries_.pop_back();
+    }
+    deliveries_[slot] = Delivery{seg.bytes, std::move(seg.on_delivered)};
+    sim_.after(route_->latency, [this, slot] { deliver(slot); });
   } else {
-    bytes_delivered_ += bytes;
+    bytes_delivered_ += seg.bytes;
   }
 
   if (!segments_.empty()) start_head_segment();
+}
+
+void TcpChannel::deliver(std::uint32_t slot) {
+  Delivery& d = deliveries_[slot];
+  bytes_delivered_ += d.bytes;
+  GRIDSIM_CHECK(bytes_delivered_ <= drained_,
+                "TcpChannel: delivered %.17g bytes but only %.17g ever "
+                "drained",
+                bytes_delivered_, drained_);
+  Callback cb = std::move(d.on_delivered);
+  free_deliveries_.push_back(slot);
+  cb();
 }
 
 void TcpChannel::schedule_tick() { schedule_tick(std::max<SimTime>(rtt_, 1)); }
@@ -202,7 +216,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
   // WAN jitter moves propagation latency under the connection's feet;
   // re-read it so the window/RTT cap and the tick cadence track the path.
   // Without fault injection latencies are static and this is a no-op.
-  rtt_ = 2 * net_.path_latency(src_, dst_);
+  rtt_ = 2 * route_->latency;
 
   const net::FlowInfo info = net_.flow_info(flow_);
 

@@ -1,8 +1,8 @@
 // TCP connection model on top of the fluid network.
 //
 // A `TcpChannel` is one direction of a TCP connection. Application bytes are
-// queued as FIFO segments; the head segment drains through a fluid flow
-// whose rate is capped at `window / RTT`, where
+// queued as FIFO segments in a ring; the head segment drains through a fluid
+// flow whose rate is capped at `window / RTT`, where
 //
 //   window = min(cwnd, effective send buffer, effective receive buffer).
 //
@@ -18,12 +18,19 @@
 //  * setsockopt(SO_*BUF)     -> fixed size, clamped to *mem_max, no tuning
 //  * lock_buffers_to_initial -> fixed at tcp_*mem[1] (GridMPI behaviour:
 //                               "the middle value ... has to be increased")
+//
+// The per-message path allocates nothing once warm: callbacks are
+// `Callback`s, segments sit in a `Ring`, a drained segment's delivery
+// callback waits in a per-channel slot table (so the delivery event
+// captures only the slot and stays inline), and the channel reads its path
+// through the `const net::Route*` it resolved once at construction.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <vector>
 
+#include "simcore/callback.hpp"
+#include "simcore/ring.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/sync.hpp"
 #include "simcore/task.hpp"
@@ -107,8 +114,7 @@ class TcpChannel {
   ///    send socket buffer (where a blocking eager MPI_Send returns);
   ///  * `on_delivered` fires when the last byte arrives at the receiver.
   /// Either callback may be null. Delivery order is FIFO.
-  void send(double bytes, std::function<void()> on_buffered,
-            std::function<void()> on_delivered);
+  void send(double bytes, Callback on_buffered, Callback on_delivered);
 
   /// Coroutine helpers over send().
   Task<void> send_buffered(double bytes);
@@ -138,12 +144,18 @@ class TcpChannel {
     double bytes = 0;
     double buffered_threshold = 0;  ///< fire on_buffered once drained_ >= this
     bool buffered_fired = false;
-    std::function<void()> on_buffered;
-    std::function<void()> on_delivered;
+    Callback on_buffered;
+    Callback on_delivered;
+  };
+  /// A drained segment whose last byte is still propagating.
+  struct Delivery {
+    double bytes = 0;
+    Callback on_delivered;
   };
 
   void start_head_segment();
   void on_head_drained();
+  void deliver(std::uint32_t slot);
   void schedule_tick();
   void schedule_tick(SimTime delay);
   void on_tick(std::uint64_t gen);
@@ -157,6 +169,7 @@ class TcpChannel {
   Simulation& sim_;
   net::HostId src_;
   net::HostId dst_;
+  const net::Route* route_;  ///< src -> dst; latencies may change under it
   TcpModelParams params_;
   SocketOptions options_;
   bool pacing_ = false;
@@ -175,7 +188,9 @@ class TcpChannel {
   bool in_slow_start_ = true;
 
   // Segment pipeline.
-  std::deque<Segment> segments_;  // head is in flight
+  Ring<Segment> segments_;  // head is in flight
+  std::vector<Delivery> deliveries_;  // indexed by delivery event slot
+  std::vector<std::uint32_t> free_deliveries_;
   net::FlowId flow_ = net::kInvalidFlow;
   double enqueued_total_ = 0;  ///< cumulative bytes ever queued
   double drained_ = 0;         ///< cumulative bytes drained into the pipe

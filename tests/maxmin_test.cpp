@@ -137,6 +137,50 @@ TEST_P(MaxMinClosedForm, TransferTimesMatchAllocations) {
   EXPECT_EQ(done[1], 1500_ms);
 }
 
+TEST_P(MaxMinClosedForm, StaleIdCannotReachTheFlowReusingItsSlot) {
+  // Flow A finishes and flow B starts in A's recycled slot. A's id must not
+  // name B: queries through it see nothing, and mutations through it
+  // (including A's own superseded completion check, still queued at 10 s)
+  // leave B alone.
+  const HostId a = net.add_host("a");
+  const HostId b = net.add_host("b");
+  const LinkId ab = net.add_link("ab", 1e8, 1_ms, 1e6);
+  net.add_route(a, b, {ab});
+  int a_done = 0;
+  const FlowId fa = net.start_flow(a, b, 1e6, 1e5, [&] { ++a_done; });
+  net.set_rate_cap(fa, kUnlimitedRate);  // 1 MB at 100 MB/s: done at 10 ms
+  sim.run_until(10_ms);
+  ASSERT_EQ(a_done, 1);
+
+  std::vector<SimTime> b_done;
+  const FlowId fb = net.start_flow(a, b, 1e9, kUnlimitedRate,
+                                   [&] { b_done.push_back(sim.now()); });
+  ASSERT_NE(fb, fa);
+  ASSERT_EQ(static_cast<std::uint32_t>(fb), static_cast<std::uint32_t>(fa))
+      << "B should reuse A's slot";
+
+  EXPECT_FALSE(net.flow_active(fa));
+  EXPECT_TRUE(net.flow_active(fb));
+  const FlowInfo stale = net.flow_info(fa);
+  EXPECT_EQ(stale.rate, 0);
+  EXPECT_EQ(stale.achievable_rate, 0);
+  EXPECT_EQ(stale.remaining, 0);
+  EXPECT_EQ(net.flow_remaining(fa), 0);
+
+  net.set_rate_cap(fa, 1e3);
+  EXPECT_DOUBLE_EQ(net.flow_info(fb).rate, 1e8);
+  net.cancel_flow(fa);
+  EXPECT_TRUE(net.flow_active(fb));
+  EXPECT_EQ(net.active_flow_count(), 1);
+
+  sim.run();
+  // 1 GB at 100 MB/s from 10 ms, exactly once.
+  EXPECT_EQ(b_done, (std::vector<SimTime>{10_s + 10_ms}));
+  EXPECT_EQ(a_done, 1);
+  EXPECT_FALSE(net.flow_active(fb));
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothSolvers, MaxMinClosedForm,
                          ::testing::Values(SolverMode::kIncremental,
                                            SolverMode::kGlobalOracle),

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "simcore/callback.hpp"
+#include "simcore/ring.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/sync.hpp"
@@ -199,6 +201,23 @@ TEST(Sync, TriggerReleasesAllWaiters) {
   EXPECT_TRUE(t.fired());
 }
 
+Task<void> wait_trigger_tagged(Trigger& t, int tag, std::vector<int>& out) {
+  co_await t.wait();
+  out.push_back(tag);
+}
+
+TEST(Sync, TriggerResumesWaitersInWaitOrder) {
+  // The first waiter is held inline and the rest in a vector; together
+  // they must still resume first-come, first-served.
+  Simulation sim;
+  Trigger t(sim);
+  std::vector<int> woke;
+  for (int i = 0; i < 4; ++i) sim.spawn(wait_trigger_tagged(t, i, woke));
+  sim.at(10, [&] { t.fire(); });
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(Sync, TriggerAlreadyFiredCompletesImmediately) {
   Simulation sim;
   Trigger t(sim);
@@ -315,6 +334,67 @@ TEST(Sync, SemaphoreLimitsConcurrency) {
   EXPECT_EQ(active, 0);
   EXPECT_EQ(sim.now(), 300);  // three waves of two
 }
+
+TEST(Ring, FifoAcrossGrowthAndWrapAround) {
+  Ring<int> ring;
+  std::vector<int> out;
+  int next = 0;
+  // Interleave pushes and pops so the head wraps before, during and after
+  // the buffer doubles.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3; ++i) ring.push_back(next++);
+    for (int i = 0; i < 2; ++i) {
+      out.push_back(ring.front());
+      ring.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.size(), 40u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i], out.back() + 1 + static_cast<int>(i));
+  while (!ring.empty()) {
+    out.push_back(ring.front());
+    ring.pop_front();
+  }
+  ASSERT_EQ(out.size(), 120u);
+  for (int i = 0; i < 120; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The pool keeps freed coroutine frames and callback payloads on its free
+// lists, poisoned: touching one after it was destroyed must still be an
+// ASan report, as it would be for memory returned to the allocator.
+Task<int> pooled_frame() { co_return 1; }
+
+struct SpilledPayload {
+  char pad[100];
+  const void** where;
+  void operator()() { *where = this; }
+};
+
+TEST(PoolDeathTest, DestroyedCoroutineFrameIsPoisoned) {
+  EXPECT_DEATH(
+      {
+        std::coroutine_handle<> frame = pooled_frame().release();
+        const void* addr = frame.address();
+        frame.destroy();
+        (void)*static_cast<const volatile char*>(addr);
+      },
+      "use-after-poison");
+}
+
+TEST(PoolDeathTest, FreedCallbackPayloadIsPoisoned) {
+  EXPECT_DEATH(
+      {
+        const void* payload = nullptr;
+        {
+          Callback cb(SpilledPayload{{}, &payload});
+          cb();
+        }
+        (void)*static_cast<const volatile char*>(payload);
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(12345), b(12345);
