@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Campaign digest check: runs the same scenario selection three times and
-# fails unless every per-scenario trace digest is byte-identical to the
-# serial run's. --jobs N checks that the thread schedule changes nothing;
-# --jobs N on the global max-min oracle (GRIDSIM_NET_ORACLE=1) checks that
-# the incremental solver changes nothing, down to the last ulp of a rate.
+# fails unless every run passes and every per-scenario trace digest is
+# byte-identical to the serial run's. --jobs N checks that the thread
+# schedule changes nothing; --jobs N on the global max-min oracle
+# (GRIDSIM_NET_ORACLE=1) checks that the incremental solver changes
+# nothing, down to the last ulp of a rate. A run fails when a scenario
+# throws, times out or gets a failing lint verdict (an undeclared race, a
+# leak); the script then names the run and prints its failed rows.
 #
 # Usage: scripts/check_campaign.sh [filter] [jobs] [path/to/gridsim]
 #   FILTER  glob over scenario names/groups (default: table4*)
@@ -30,8 +33,18 @@ trap 'rm -rf "$WORKDIR"' EXIT
 # (one scenario object per report line, so grep needs no JSON parser). The
 # campaign itself exits 2 when the filter matches no scenario.
 run() {
+  local status=0
   GRIDSIM_NET_ORACLE="$2" "$CLI" campaign --filter "$FILTER" --jobs "$3" \
-    --out "$WORKDIR/$1" >/dev/null
+    --out "$WORKDIR/$1" > "$WORKDIR/$1.log" || status=$?
+  if [[ "$status" -ne 0 ]]; then
+    echo "check_campaign: $1 run (--jobs $3, GRIDSIM_NET_ORACLE=$2) exited $status" >&2
+    if [[ -f "$WORKDIR/$1/CAMPAIGN.json" ]]; then
+      grep '"ok": false' "$WORKDIR/$1/CAMPAIGN.json" >&2 || true
+    else
+      tail -n 5 "$WORKDIR/$1.log" >&2
+    fi
+    exit "$status"
+  fi
   grep -o '"name": "[^"]*", "group": "[^"]*", "ok": [a-z]*, "digest": "[0-9a-f]*"' \
     "$WORKDIR/$1/CAMPAIGN.json" > "$WORKDIR/$1.digests"
 }

@@ -11,6 +11,7 @@
 #include "collectives/collectives.hpp"
 #include "collectives/selector.hpp"
 #include "mpi/mpi.hpp"
+#include "simcore/json.hpp"
 
 namespace gridsim::coll {
 
@@ -162,6 +163,12 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
   return report;
 }
 
+std::vector<GuidelineDeployment> guideline_deployments() {
+  return {{"cluster", topo::GridSpec::single_cluster(16), false},
+          {"grid", topo::GridSpec::rennes_nancy(8), false},
+          {"grid-cyclic", topo::GridSpec::rennes_nancy(8), true}};
+}
+
 mpi::CollRules misruled_selector() {
   mpi::CollRule small;
   small.op = mpi::CollOp::kBcast;
@@ -172,34 +179,6 @@ mpi::CollRules misruled_selector() {
   large.algo = "binomial";
   return {small, large};
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 bool write_coll_json(const std::string& path, const GuidelineReport& report) {
   const std::filesystem::path dir =
@@ -229,8 +208,7 @@ bool write_coll_json(const std::string& path, const GuidelineReport& report) {
         i + 1 < report.cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  return std::fclose(f) == 0;
 }
 
 }  // namespace gridsim::coll

@@ -101,6 +101,19 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
                                   const tcp::KernelTunables& kernel,
                                   const GuidelineOptions& opt = {});
 
+/// One deployment of the guideline sweep.
+struct GuidelineDeployment {
+  const char* label;
+  topo::GridSpec spec;
+  bool cyclic;  ///< GuidelineOptions::cyclic
+};
+
+/// The deployments `gridsim coll --verify` and the coll/verify-<impl>
+/// scenarios sweep: one 16-node cluster, the 8+8 grid, and the same grid
+/// with ranks interleaved across sites (the adversarial order where
+/// rank-ordered algorithms cross the WAN on ~every step).
+std::vector<GuidelineDeployment> guideline_deployments();
+
 /// The deliberately mis-ruled selector fixture: inverts the van de Geijn
 /// cutoff so the latency-bound scatter-ring runs for small broadcasts and
 /// binomial for large ones. On the cyclic-placement grid this must trip

@@ -8,11 +8,12 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "harness/determinism.hpp"
 #include "simcore/check.hpp"
+#include "simcore/json.hpp"
 #include "simcore/trace.hpp"
-#include "simlint/lint.hpp"
 
 namespace gridsim::harness {
 
@@ -145,10 +146,21 @@ ScenarioOutcome run_one(const ScenarioSpec& spec,
     out.final_time = state.final_time;
   }
   if (options.lint && out.ok) {
-    const simlint::LintSummary lint =
-        simlint::analyze(comm_log, /*max_findings=*/0);
+    simlint::LintSummary lint = simlint::analyze(comm_log, kLintFindingsCap);
     out.races = lint.races;
     out.hb_edges = lint.hb_edges;
+    out.causal_sends = lint.causal_sends;
+    out.leaks = lint.leaks;
+    out.lint_status = simlint::lint_status(lint, spec.races_expected);
+    out.findings = std::move(lint.findings);
+    if (!simlint::lint_status_ok(out.lint_status)) {
+      out.ok = false;
+      out.status = "failed";
+      out.error = "lint verdict '" + out.lint_status + "'";
+      if (!out.findings.empty())
+        out.error += ": [" + out.findings.front().rule + "] " +
+                     out.findings.front().message;
+    }
   }
   return out;
 }
@@ -210,28 +222,6 @@ CampaignReport run_campaign(const ScenarioRegistry& registry,
   return report;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool write_campaign_json(const std::string& path,
                          const CampaignReport& report) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -253,7 +243,9 @@ bool write_campaign_json(const std::string& path,
                  "\"digest\": \"%016llx\", \"trace_events\": %llu, "
                  "\"simulations\": %llu, \"final_time_ns\": %lld, "
                  "\"wall_s\": %.6f, \"status\": \"%s\", "
-                 "\"races\": %d, \"hb_edges\": %llu",
+                 "\"races\": %d, \"hb_edges\": %llu, "
+                 "\"lint_status\": \"%s\", \"causal_sends\": %d, "
+                 "\"leaks\": %d, \"findings\": [",
                  json_escape(o.name).c_str(), json_escape(o.group).c_str(),
                  o.ok ? "true" : "false",
                  static_cast<unsigned long long>(o.digest),
@@ -261,7 +253,21 @@ bool write_campaign_json(const std::string& path,
                  static_cast<unsigned long long>(o.simulations),
                  static_cast<long long>(o.final_time), o.wall_s,
                  json_escape(o.status).c_str(), o.races,
-                 static_cast<unsigned long long>(o.hb_edges));
+                 static_cast<unsigned long long>(o.hb_edges),
+                 json_escape(o.lint_status).c_str(), o.causal_sends, o.leaks);
+    for (std::size_t k = 0; k < o.findings.size(); ++k) {
+      const simlint::Finding& finding = o.findings[k];
+      std::fprintf(f,
+                   "%s{\"rule\": \"%s\", \"severity\": \"%s\", "
+                   "\"site_a\": \"%s\", \"site_b\": \"%s\", "
+                   "\"message\": \"%s\"}",
+                   k ? ", " : "", json_escape(finding.rule).c_str(),
+                   json_escape(finding.severity).c_str(),
+                   json_escape(finding.site_a).c_str(),
+                   json_escape(finding.site_b).c_str(),
+                   json_escape(finding.message).c_str());
+    }
+    std::fprintf(f, "]");
     if (!o.ok)
       std::fprintf(f, ", \"error\": \"%s\"", json_escape(o.error).c_str());
     if (!o.result.note.empty())

@@ -11,9 +11,12 @@
 // CI), and tests/campaign_test.cpp pins the digests of three catalog
 // scenarios so that any change to the event schedule fails a test.
 //
-// Failure isolation: a scenario that throws (or violates its declared
-// metric schema) is reported failed with its error text; the rest of the
-// campaign completes normally.
+// Each scenario's one run also yields its happens-before race verdict
+// (simlint), so the campaign is the catalog's race and leak gate too.
+//
+// Failure isolation: a scenario that throws, violates its declared metric
+// schema or gets a failing lint verdict is reported failed with its error
+// text; the rest of the campaign completes normally.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "simlint/lint.hpp"
 
 namespace gridsim::harness {
 
@@ -38,11 +42,15 @@ struct CampaignOptions {
   /// `status == "timeout"`, and the rest of the campaign proceeds.
   double timeout_s = 0;
   /// Record each scenario's comm-event log and run the simlint
-  /// happens-before analysis over it, filling ScenarioOutcome::races and
-  /// hb_edges (counters only — `gridsim lint` reports the sites). Off, the
-  /// engine skips recording entirely.
+  /// happens-before analysis over it (docs/race-detection.md), filling the
+  /// outcome's lint verdict, counters and first findings. A verdict other
+  /// than "clean" or "expected-races" fails the scenario. Off, the engine
+  /// skips recording entirely.
   bool lint = true;
 };
+
+/// Findings kept per scenario; the lint counters stay exact.
+inline constexpr std::size_t kLintFindingsCap = 16;
 
 /// One scenario's execution record.
 struct ScenarioOutcome {
@@ -61,6 +69,14 @@ struct ScenarioOutcome {
   double wall_s = 0;
   int races = 0;                  ///< simlint R1 racing send pairs
   std::uint64_t hb_edges = 0;     ///< cross-rank happens-before edges
+  /// simlint::lint_status of the run: "clean" | "expected-races" (both
+  /// pass) | "races" | "leaks" | "truncated" (these fail the scenario,
+  /// with the verdict and first finding in `error`). Empty when no
+  /// analysis ran: lint off, or the scenario had already failed.
+  std::string lint_status;
+  int causal_sends = 0;           ///< simlint R2 notes (never fail a run)
+  int leaks = 0;                  ///< simlint R3 leaks and tag conflicts
+  std::vector<simlint::Finding> findings;  ///< first kLintFindingsCap
 };
 
 struct CampaignReport {

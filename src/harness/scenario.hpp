@@ -78,8 +78,9 @@ struct ScenarioSpec {
   int ranks = 0;
   /// The workload intentionally contains wildcard-receive races (e.g. a
   /// master/worker pattern whose result is interleaving-invariant).
-  /// `gridsim lint` reports them as "expected-races" (passing) instead of
-  /// "races" (failing). Leaks (rule R3) always fail.
+  /// The campaign's lint verdict is then "expected-races" (passing)
+  /// instead of "races" (failing the scenario). Leaks (rule R3) always
+  /// fail.
   bool races_expected = false;
   ScenarioFn run;
 };

@@ -74,27 +74,12 @@ double run_timed(const ScenarioContext& ctx, const topo::GridSpec& spec,
   return to_seconds(*std::max_element(finish.begin(), finish.end()));
 }
 
-/// The three deployments the guideline sweep covers: one cluster, the 8+8
-/// grid, and the same grid with ranks interleaved across sites (the
-/// adversarial order where rank-ordered rings cross the WAN every hop).
-struct Deployment {
-  const char* label;
-  topo::GridSpec spec;
-  bool cyclic;
-};
-
-std::vector<Deployment> deployments() {
-  return {{"cluster", topo::GridSpec::single_cluster(16), false},
-          {"grid", topo::GridSpec::rennes_nancy(8), false},
-          {"grid-cyclic", topo::GridSpec::rennes_nancy(8), true}};
-}
-
 coll::GuidelineReport sweep(const ScenarioContext& ctx,
                             const mpi::ImplProfile& impl) {
   const profiles::ExperimentConfig cfg =
       profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
   coll::GuidelineReport all;
-  for (const auto& d : deployments()) {
+  for (const auto& d : coll::guideline_deployments()) {
     coll::GuidelineOptions opt;
     opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = d.cyclic;

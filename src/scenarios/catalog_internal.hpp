@@ -40,11 +40,12 @@ void register_robust_catalog(harness::ScenarioRegistry& reg);
 /// arrival-order arbiter like any other scenario.
 void register_mc_catalog(harness::ScenarioRegistry& reg);
 
-/// Lint fixtures for `gridsim lint` (docs/race-detection.md): one
-/// deliberately racy wildcard workload (R1 fires, races_expected) and its
-/// race-free twin whose candidate sends are happens-before-ordered through
-/// a token, so the analyzer proves zero races and the model-checker's HB
-/// persistent sets collapse the exploration to one execution.
+/// Lint fixtures for the campaign's race verdict (docs/race-detection.md):
+/// one deliberately racy wildcard workload (R1 fires, races_expected) and
+/// its race-free twin whose candidate sends are happens-before-ordered
+/// through a token, so the analyzer proves zero races and the
+/// model-checker's HB persistent sets collapse the exploration to one
+/// execution.
 void register_lint_catalog(harness::ScenarioRegistry& reg);
 
 /// The collective-algorithm layer (`gridsim coll`, docs/collectives.md):

@@ -1,4 +1,4 @@
-// Lint fixtures for `gridsim lint` (simlint/lint.hpp,
+// Lint fixtures for the campaign's race verdict (simlint/lint.hpp,
 // docs/race-detection.md): a deliberately racy wildcard workload and its
 // race-free twin. The pair pins the analyzer's verdict boundary from both
 // sides (tests/lint_test.cpp):
@@ -7,7 +7,7 @@
 //    two kAnySource receives. Neither send happens-before the other, so
 //    rule R1 fires and names both send sites. Registered with
 //    races_expected: the race is the fixture's purpose, and its metrics
-//    are commutative, so the scenario still passes lint and campaign.
+//    are commutative, so its verdict is "expected-races" and it passes.
 //
 //  * lint/scripted-order — the same traffic, serialized through a token:
 //    rank 1 sends to rank 0, then passes a token to rank 2, which sends to
@@ -136,7 +136,8 @@ void register_lint_catalog(ScenarioRegistry& reg) {
   register_scripted_order(reg);
 
   reg.set_renderer("lint", [](const auto& specs, const auto& results) {
-    std::string out = "Lint fixtures (see `gridsim lint`):\n";
+    std::string out =
+        "Lint fixtures (lint_status and findings in CAMPAIGN.json):\n";
     for (std::size_t i = 0; i < specs.size(); ++i)
       out += "  " + variant_of(specs[i]->name) + ": " + results[i]->note +
              "\n";

@@ -1,7 +1,6 @@
 #include "simlint/lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,24 +45,6 @@ std::string tag_str(int tag) {
 std::string pending_recv_name(int rank, int want_src, int want_tag) {
   return "rank " + std::to_string(rank) + " recv(src=" + src_str(want_src) +
          ", tag=" + tag_str(want_tag) + ")";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -430,58 +411,6 @@ std::string lint_status(const LintSummary& lint, bool races_expected) {
 
 bool lint_status_ok(const std::string& status) {
   return status == "clean" || status == "expected-races";
-}
-
-bool write_lint_json(const std::string& path, const std::string& filter,
-                     std::uint64_t seed,
-                     const std::vector<ScenarioLintEntry>& entries) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::size_t failures = 0;
-  for (const ScenarioLintEntry& e : entries)
-    if (!lint_status_ok(e.status)) ++failures;
-  std::fprintf(f,
-               "{\n  \"schema\": \"gridsim-lint/1\",\n"
-               "  \"filter\": \"%s\",\n  \"seed\": %llu,\n"
-               "  \"scenarios\": %zu,\n  \"failures\": %zu,\n",
-               json_escape(filter).c_str(),
-               static_cast<unsigned long long>(seed), entries.size(),
-               failures);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const ScenarioLintEntry& e = entries[i];
-    // One scenario per line (shell-diffable, like the campaign report).
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"group\": \"%s\", "
-                 "\"status\": \"%s\", \"races\": %d, "
-                 "\"causal_sends\": %d, \"leaks\": %d, "
-                 "\"hb_edges\": %llu, \"events\": %llu, "
-                 "\"truncated\": %s",
-                 json_escape(e.name).c_str(), json_escape(e.group).c_str(),
-                 json_escape(e.status).c_str(), e.lint.races,
-                 e.lint.causal_sends, e.lint.leaks,
-                 static_cast<unsigned long long>(e.lint.hb_edges),
-                 static_cast<unsigned long long>(e.lint.events),
-                 e.lint.truncated ? "true" : "false");
-    if (!e.error.empty())
-      std::fprintf(f, ", \"error\": \"%s\"", json_escape(e.error).c_str());
-    std::fprintf(f, ", \"findings\": [");
-    for (std::size_t k = 0; k < e.lint.findings.size(); ++k) {
-      const Finding& finding = e.lint.findings[k];
-      std::fprintf(f,
-                   "%s{\"rule\": \"%s\", \"severity\": \"%s\", "
-                   "\"site_a\": \"%s\", \"site_b\": \"%s\", "
-                   "\"message\": \"%s\"}",
-                   k ? ", " : "", json_escape(finding.rule).c_str(),
-                   json_escape(finding.severity).c_str(),
-                   json_escape(finding.site_a).c_str(),
-                   json_escape(finding.site_b).c_str(),
-                   json_escape(finding.message).c_str());
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  return std::fclose(f) == 0;
 }
 
 }  // namespace gridsim::simlint

@@ -1,4 +1,4 @@
-// Happens-before communication-race analyzer (`gridsim lint`).
+// Happens-before communication-race analyzer (simlint).
 //
 // Consumes the comm-event log one instrumented execution records
 // (mpi/comm_log.hpp), attaches a vector clock to every event, and derives
@@ -48,6 +48,8 @@ struct Finding {
   std::string site_a;
   std::string site_b;
   std::string message;   ///< one human-readable line naming both sites
+
+  friend bool operator==(const Finding&, const Finding&) = default;
 };
 
 /// "rank R send#K -> D (tag T)" — the stable name of a send site.
@@ -110,31 +112,17 @@ struct LintSummary {
                            int site_b) const;
 };
 
-LintSummary analyze(const mpi::CommLog& log, std::size_t max_findings = 64);
+LintSummary analyze(const mpi::CommLog& log, std::size_t max_findings);
 
-/// Scenario verdict for the lint report: "leaks" if R3 fired, "races" if
-/// R1 fired unexpectedly, "truncated" if a capped analysis would
-/// otherwise pass (dropped tail events could hide finalize leaks), else
-/// "expected-races" (by `races_expected`, see ScenarioSpec) or "clean".
+/// Scenario verdict (a campaign row's `lint_status`): "leaks" if R3 fired,
+/// "races" if R1 fired unexpectedly, "truncated" if a capped analysis
+/// would otherwise pass (dropped tail events could hide finalize leaks),
+/// else "expected-races" (by `races_expected`, see ScenarioSpec) or
+/// "clean".
 /// R2 notes never fail a scenario — they refine the model-checker's
 /// claim, not the scenario's.
 std::string lint_status(const LintSummary& lint, bool races_expected);
 /// Whether a status string counts as passing ("clean" | "expected-races").
 bool lint_status_ok(const std::string& status);
-
-/// One scenario's row in the "gridsim-lint/1" report.
-struct ScenarioLintEntry {
-  std::string name;
-  std::string group;
-  std::string status;  ///< lint_status(), or "error" if the run threw
-  std::string error;   ///< exception text when status == "error"
-  LintSummary lint;
-};
-
-/// Writes the consolidated "gridsim-lint/1" JSON report (one scenario
-/// object per line, shell-diffable like the campaign report).
-bool write_lint_json(const std::string& path, const std::string& filter,
-                     std::uint64_t seed,
-                     const std::vector<ScenarioLintEntry>& entries);
 
 }  // namespace gridsim::simlint

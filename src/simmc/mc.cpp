@@ -11,6 +11,7 @@
 
 #include "harness/determinism.hpp"
 #include "simcore/check.hpp"
+#include "simcore/json.hpp"
 #include "simcore/simulation.hpp"
 
 namespace gridsim::simmc {
@@ -65,24 +66,6 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// Greedy witness minimization: reset each forced (nonzero) choice to the

@@ -12,10 +12,7 @@
 //                     [--timeout-s N] [--render] [--list]
 //   gridsim mc        [--scenario GLOB] [--max-execs N] [--ranks-cap K]
 //                     [--seed N] [--out DIR] [--no-hb] [--list]
-//   gridsim lint      [--scenario GLOB] [--seed N] [--max-findings N]
-//                     [--json OUT] [--list]
-//   gridsim coll      [--list] [--verify] [--impl NAME] [--quick]
-//                     [--misrule] [--json OUT]
+//   gridsim coll      [--list] [--verify] [--impl NAME] [--json OUT]
 //   gridsim replay    --witness FILE [--reps N]
 //
 // Every subcommand parses its flags through the typed OptionParser
@@ -27,6 +24,9 @@
 // writes one consolidated CAMPAIGN.json report (schema "gridsim-campaign/1",
 // documented in docs/usage.md). Per-scenario digests are independent of
 // --jobs: `--jobs 8` must equal `--jobs 1` byte for byte, which CI checks.
+// Every scenario also runs the happens-before race analysis (simlint,
+// docs/race-detection.md); its verdict and first findings are part of the
+// row, and an unexpected race or a leak fails the scenario.
 // --timeout-s arms a per-scenario wall-clock watchdog: a scenario that
 // exceeds it is reported with "status": "timeout" and the campaign exits
 // non-zero without aborting the remaining scenarios.
@@ -39,21 +39,13 @@
 // reproduces deterministically. Writes MC.json (schema "gridsim-mc/1").
 // --no-hb disables the happens-before persistent-set reduction (simlint).
 //
-// `lint` is the happens-before communication-race analyzer (simlint,
-// docs/race-detection.md): it runs each matched scenario once with
-// comm-event recording, attaches vector clocks, and reports
-// wildcard-receive races (R1, both racing send sites named),
-// causally-dependent sends (R2) and resource leaks / tag conflicts (R3).
-// Exits non-zero unless every scenario is "clean" or "expected-races".
-// --json writes a consolidated "gridsim-lint/1" report.
-//
 // `coll` exposes the collective-algorithm layer (docs/collectives.md):
 // --list prints the registered algorithms and each implementation's
 // selector decision table; --verify runs the Hunold-style performance
 // guideline sweep (composition + size monotonicity) over profile x size x
-// topology and exits non-zero on any violation. --misrule swaps in the
-// deliberately inverted bcast rule table, the negative fixture CI uses to
-// prove the harness can catch a bad selector.
+// topology and exits non-zero on any violation. The catalog's
+// coll/verify-<impl> and coll/misrule-fixture scenarios run the same sweep
+// in every campaign.
 //
 // Implementations: TCP, MPICH2, GridMPI, MPICH-Madeleine, OpenMPI,
 // MPICH-G2.
@@ -64,7 +56,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/ray2mesh.hpp"
@@ -78,7 +69,6 @@
 #include "harness/report.hpp"
 #include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
-#include "simlint/lint.hpp"
 #include "simmc/mc.hpp"
 #include "tools/cli.hpp"
 
@@ -361,7 +351,9 @@ int cmd_campaign(int argc, char** argv) {
   if (list) {
     for (std::size_t idx : selected) {
       const auto& spec = registry.scenarios()[idx];
-      std::printf("%-40s %s\n", spec.name.c_str(), spec.description.c_str());
+      std::printf("%-40s %s%s\n", spec.name.c_str(),
+                  spec.races_expected ? "[races-expected] " : "",
+                  spec.description.c_str());
     }
     std::printf("%zu scenarios\n", selected.size());
     return 0;
@@ -520,100 +512,6 @@ int cmd_mc(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int cmd_lint(int argc, char** argv) {
-  std::string filter = "*", out_path;
-  std::uint64_t seed = 1;
-  int max_findings = 16;
-  bool list = false;
-  OptionParser parser(
-      "lint",
-      "Happens-before communication-race analyzer: run each matched\n"
-      "scenario once with comm-event recording, attach vector clocks, and\n"
-      "report wildcard-receive races (R1), causally-dependent sends (R2)\n"
-      "and resource leaks / tag conflicts (R3). Exits non-zero unless\n"
-      "every scenario is 'clean' or 'expected-races'.");
-  parser.string_opt("scenario", &filter,
-                    "glob over scenario names and groups (default '*')")
-      .u64_opt("seed", &seed, "scenario seed for the analyzed run")
-      .int_opt("max-findings", &max_findings,
-               "findings reported per scenario (counters stay exact)")
-      .string_opt("json", &out_path,
-                  "write a consolidated gridsim-lint/1 report to this path")
-      .flag("list", &list, "list matching scenarios and exit");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto& registry = scenarios::paper_registry();
-  const auto selected = registry.match(filter);
-  if (selected.empty()) {
-    std::fprintf(stderr, "no scenario matches '%s'\n", filter.c_str());
-    return 2;
-  }
-  if (list) {
-    for (std::size_t idx : selected) {
-      const auto& spec = registry.scenarios()[idx];
-      std::printf("%-40s %s%s\n", spec.name.c_str(),
-                  spec.races_expected ? "[races-expected] " : "",
-                  spec.description.c_str());
-    }
-    std::printf("%zu scenarios\n", selected.size());
-    return 0;
-  }
-
-  std::vector<simlint::ScenarioLintEntry> entries;
-  std::size_t done = 0, failures = 0;
-  for (std::size_t idx : selected) {
-    const auto& spec = registry.scenarios()[idx];
-    ++done;
-    simlint::ScenarioLintEntry entry;
-    entry.name = spec.name;
-    entry.group = spec.group;
-    mpi::CommLog comm_log;
-    try {
-      const mpi::ScopedCommLog scope(&comm_log);
-      harness::ScenarioContext ctx;
-      ctx.seed = seed;
-      (void)spec.run(ctx);
-      entry.lint = simlint::analyze(
-          comm_log, static_cast<std::size_t>(std::max(0, max_findings)));
-      entry.status = simlint::lint_status(entry.lint, spec.races_expected);
-    } catch (const std::exception& e) {
-      entry.status = "error";
-      entry.error = e.what();
-    }
-    if (!simlint::lint_status_ok(entry.status)) ++failures;
-    std::printf("[%3zu/%zu] %-40s %-15s races=%-2d causal=%-2d leaks=%-2d "
-                "hb_edges=%llu\n",
-                done, selected.size(), spec.name.c_str(),
-                entry.status.c_str(), entry.lint.races,
-                entry.lint.causal_sends, entry.lint.leaks,
-                static_cast<unsigned long long>(entry.lint.hb_edges));
-    for (const auto& finding : entry.lint.findings)
-      std::printf("    [%s] %s: %s\n", finding.severity.c_str(),
-                  finding.rule.c_str(), finding.message.c_str());
-    if (!entry.error.empty())
-      std::printf("    error: %s\n", entry.error.c_str());
-    std::fflush(stdout);
-    entries.push_back(std::move(entry));
-  }
-
-  if (!out_path.empty()) {
-    const auto parent = std::filesystem::path(out_path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);  // best effort; fopen
-    }
-    if (!simlint::write_lint_json(out_path, filter, seed, entries)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("lint: wrote %s\n", out_path.c_str());
-  }
-  std::printf("lint: %zu scenarios, %zu with unexpected races/leaks\n",
-              entries.size(), failures);
-  return failures == 0 ? 0 : 1;
-}
-
 /// One row of the `coll --list` decision table.
 void print_rules(const mpi::CollectiveSuite& suite, mpi::CollOp op) {
   for (const auto& r : coll::Selector::effective_rules(suite, op)) {
@@ -642,7 +540,7 @@ void print_rules(const mpi::CollectiveSuite& suite, mpi::CollOp op) {
 
 int cmd_coll(int argc, char** argv) {
   std::string impl_name = "all", out_path;
-  bool list = false, verify = false, quick = false, misrule = false;
+  bool list = false, verify = false;
   OptionParser parser(
       "coll",
       "Collective-algorithm registry and selector guideline verifier.\n"
@@ -653,10 +551,6 @@ int cmd_coll(int argc, char** argv) {
   parser.flag("list", &list, "print the registry and decision tables")
       .flag("verify", &verify, "run the guideline sweep")
       .string_opt("impl", &impl_name, "implementation name, or 'all'")
-      .flag("quick", &quick, "two probe sizes instead of three (CI smoke)")
-      .flag("misrule", &misrule,
-            "swap in the deliberately inverted bcast rule table (the\n"
-            "negative fixture: --verify must then FAIL on the grid)")
       .string_opt("json", &out_path,
                   "write a consolidated gridsim-coll/1 report to this path");
   int status = 0;
@@ -669,10 +563,6 @@ int cmd_coll(int argc, char** argv) {
   } else {
     impls.push_back(impl_by_name(impl_name));
   }
-  if (misrule)
-    for (auto& impl : impls)
-      impl.collectives.selector = coll::misruled_selector();
-
   if (list) {
     const auto& reg = coll::AlgorithmRegistry::instance();
     std::printf("# registered algorithms\n");
@@ -687,8 +577,8 @@ int cmd_coll(int argc, char** argv) {
     for (const auto& a : reg.alltoall()) print_entry("alltoall", a);
     for (const auto& a : reg.barrier()) print_entry("barrier", a);
     for (const auto& impl : impls) {
-      std::printf("\n# decision table: %s%s (first match wins)\n",
-                  impl.name.c_str(), misrule ? " [misruled]" : "");
+      std::printf("\n# decision table: %s (first match wins)\n",
+                  impl.name.c_str());
       for (auto op : {mpi::CollOp::kBcast, mpi::CollOp::kAllreduce,
                       mpi::CollOp::kAlltoall, mpi::CollOp::kBarrier})
         print_rules(impl.collectives, op);
@@ -698,25 +588,16 @@ int cmd_coll(int argc, char** argv) {
   if (!verify) return 0;
 
   coll::GuidelineReport all;
-  // Deployments: one cluster, the 8+8 grid with block placement, and the
-  // same grid with ranks interleaved across sites — the adversarial order
-  // where rank-ordered algorithms cross the WAN on ~every step.
-  const std::vector<std::tuple<std::string, topo::GridSpec, bool>>
-      deployments = {
-          {"cluster", topo::GridSpec::single_cluster(16), false},
-          {"grid", topo::GridSpec::rennes_nancy(8), false},
-          {"grid-cyclic", topo::GridSpec::rennes_nancy(8), true}};
   for (const auto& impl : impls) {
     const profiles::ExperimentConfig cfg =
         profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
-    for (const auto& [label, spec, cyclic] : deployments) {
+    for (const auto& d : coll::guideline_deployments()) {
       coll::GuidelineOptions opt;
-      if (quick) opt.sizes = {1e3, 64e3};
-      opt.cyclic = cyclic;
+      opt.cyclic = d.cyclic;
       const coll::GuidelineReport rep = coll::verify_guidelines(
-          spec, label, cfg.profile, cfg.kernel, opt);
+          d.spec, d.label, cfg.profile, cfg.kernel, opt);
       std::printf("coll verify %-16s %-8s %2zu cells, %d violation(s)\n",
-                  impl.name.c_str(), label.c_str(), rep.cells.size(),
+                  impl.name.c_str(), d.label, rep.cells.size(),
                   rep.violations());
       for (const auto& c : rep.cells)
         if (c.violated)
@@ -819,7 +700,6 @@ int usage() {
       "  slowstart  cold-connection bandwidth series (Fig 9)\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
-      "  lint       happens-before communication-race analyzer\n"
       "  coll       collective-algorithm registry + guideline verifier\n"
       "  replay     re-execute a model-checker deadlock witness\n"
       "run 'gridsim <command> --help' for the command's options\n");
@@ -842,7 +722,6 @@ int main(int argc, char** argv) {
     if (command == "slowstart") return cmd_slowstart(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);
-    if (command == "lint") return cmd_lint(opt_argc, opt_argv);
     if (command == "coll") return cmd_coll(opt_argc, opt_argv);
     if (command == "replay") return cmd_replay(opt_argc, opt_argv);
   } catch (const std::exception& e) {

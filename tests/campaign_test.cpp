@@ -7,12 +7,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "collectives/guidelines.hpp"
 #include "harness/campaign.hpp"
 #include "harness/determinism.hpp"
 #include "harness/scenario.hpp"
@@ -282,6 +284,18 @@ TEST(Campaign, JsonReportRoundTrip) {
   EXPECT_NE(doc.find("\"chain/depth5\""), std::string::npos);
   EXPECT_NE(doc.find("\"digest\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Campaign, ReportWritersFailOnAFullDisk) {
+  // Every write succeeds into the stdio buffer; only the flush at fclose
+  // hits ENOSPC, so a writer that ignores fclose claims a report it lost.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto report =
+      run_campaign(small_registry(), {.filter = "chain/depth5"});
+  EXPECT_FALSE(write_campaign_json("/dev/full", report));
+  coll::GuidelineReport coll_report;
+  coll_report.cells.emplace_back();
+  EXPECT_FALSE(coll::write_coll_json("/dev/full", coll_report));
 }
 
 TEST(Campaign, RenderGroupFallsBackWithoutRenderer) {

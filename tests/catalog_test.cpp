@@ -249,8 +249,8 @@ TEST(Catalog, McScenariosDeclareSmallRankCounts) {
 }
 
 TEST(Catalog, RacesExpectedCoversExactlyTheWildcardWorkloads) {
-  // The declaration gates `gridsim lint`'s verdict ("expected-races" vs a
-  // failing "races"), so it is pinned like the names: only workloads whose
+  // The declaration gates the campaign's lint verdict ("expected-races" vs
+  // a failing "races"), so it is pinned like the names: only workloads whose
   // wildcard races are the design (master/worker self-scheduling, the mc
   // racing fixtures) may carry it.
   const auto& reg = paper_registry();

@@ -2,14 +2,19 @@
 // (simlint/lint.hpp): vector-clock construction over synthetic comm
 // traces, the R1/R2/R3 rule engine over real engine runs, the catalog
 // fixture verdicts (the racy wildcard workload and its race-free twin),
-// and the gridsim-lint/1 report writer.
+// and the campaign's lint gate: the verdict and findings every
+// CAMPAIGN.json row carries, and the failure of an unexpected race or a
+// leak.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
 #include "mpi/comm_log.hpp"
 #include "mpi/message.hpp"
@@ -27,8 +32,8 @@ namespace {
 using mpi::CommEvent;
 using mpi::CommEventKind;
 
-/// Runs a registered scenario once with comm-event recording, like
-/// `gridsim lint` does, and returns the analysis.
+/// Runs a registered scenario once with comm-event recording, as the
+/// campaign does, and returns the analysis.
 LintSummary lint_scenario(const harness::ScenarioSpec& spec) {
   mpi::CommLog log;
   {
@@ -314,33 +319,194 @@ TEST(LintCatalog, ScriptedOrderTwinIsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Report writer
+// The campaign's lint gate
 // ---------------------------------------------------------------------------
 
+/// The catalog's lint/wildcard-race fixture, with its races_expected flag
+/// set to `declared`.
+harness::ScenarioSpec wildcard_race(bool declared) {
+  const auto* spec = scenarios::paper_registry().find("lint/wildcard-race");
+  EXPECT_NE(spec, nullptr);
+  harness::ScenarioSpec copy = *spec;
+  copy.races_expected = declared;
+  return copy;
+}
+
+/// Rank 1 sends a message rank 0 never receives: R3 at finalize.
+harness::ScenarioSpec unmatched_send() {
+  harness::ScenarioSpec spec;
+  spec.name = "lint/unmatched-send";
+  spec.group = "lint";
+  spec.run = [](const harness::ScenarioContext& ctx) {
+    Simulation sim;
+    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
+    topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
+    {
+      mpi::Job job(grid, mpi::block_placement(grid, 2), profiles::mpich2(),
+                   tcp::KernelTunables::grid_tuned());
+      job.launch([](mpi::Rank& r) -> Task<void> {
+        if (r.rank() == 1) co_await r.send(0, 512, /*tag=*/9);
+        co_return;  // rank 0 never posts the receive
+      });
+      sim.run();
+    }
+    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
+    return harness::ScenarioResult{};
+  };
+  return spec;
+}
+
+harness::CampaignReport run_specs(std::vector<harness::ScenarioSpec> specs,
+                                  int jobs = 1) {
+  harness::ScenarioRegistry reg;
+  for (harness::ScenarioSpec& spec : specs) reg.add(std::move(spec));
+  harness::CampaignOptions options;
+  options.jobs = jobs;
+  return harness::run_campaign(reg, options);
+}
+
+TEST(CampaignLint, UndeclaredRaceFailsTheRow) {
+  const auto report = run_specs({wildcard_race(false)});
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  const harness::ScenarioOutcome& o = report.outcomes[0];
+  EXPECT_EQ(report.failures(), 1u);  // `gridsim campaign` then exits 1
+  EXPECT_FALSE(o.ok);
+  EXPECT_EQ(o.status, "failed");
+  EXPECT_EQ(o.lint_status, "races");
+  EXPECT_EQ(o.races, 1);
+  ASSERT_FALSE(o.findings.empty());
+  const Finding& f = o.findings.front();
+  EXPECT_EQ(f.rule, "R1-wildcard-race");
+  EXPECT_NE(f.message.find("rank 1 send#0"), std::string::npos) << f.message;
+  EXPECT_NE(f.message.find("rank 2 send#0"), std::string::npos) << f.message;
+  // The error names the verdict and the first finding.
+  EXPECT_NE(o.error.find("races"), std::string::npos) << o.error;
+  EXPECT_NE(o.error.find(f.message), std::string::npos) << o.error;
+  // The run itself completed: its digest is still reported.
+  EXPECT_NE(o.digest, 0u);
+}
+
+TEST(CampaignLint, DeclaredRaceIsExpected) {
+  const auto report = run_specs({wildcard_race(true)});
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  const harness::ScenarioOutcome& o = report.outcomes[0];
+  EXPECT_EQ(report.failures(), 0u);
+  EXPECT_TRUE(o.ok) << o.error;
+  EXPECT_EQ(o.status, "ok");
+  EXPECT_EQ(o.lint_status, "expected-races");
+  ASSERT_FALSE(o.findings.empty());
+  EXPECT_EQ(o.findings.front().rule, "R1-wildcard-race");
+}
+
+TEST(CampaignLint, UnmatchedSendFailsWithLeaks) {
+  const auto report = run_specs({unmatched_send()});
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  const harness::ScenarioOutcome& o = report.outcomes[0];
+  EXPECT_EQ(report.failures(), 1u);  // `gridsim campaign` then exits 1
+  EXPECT_FALSE(o.ok);
+  EXPECT_EQ(o.status, "failed");
+  EXPECT_EQ(o.lint_status, "leaks");
+  EXPECT_EQ(o.leaks, 1);
+  ASSERT_FALSE(o.findings.empty());
+  EXPECT_EQ(o.findings.front().rule, "R3-unmatched-send");
+  EXPECT_NE(o.error.find("leaks"), std::string::npos) << o.error;
+}
+
+TEST(CampaignLint, VerdictIsIndependentOfJobs) {
+  const auto specs = [] {
+    std::vector<harness::ScenarioSpec> out = {
+        wildcard_race(false), wildcard_race(true), unmatched_send()};
+    out[1].name = "lint/wildcard-race-declared";
+    for (const auto& spec : scenarios::paper_registry().scenarios())
+      if (spec.group == "lint" || spec.name.rfind("mc/pingpong-wild", 0) == 0)
+        if (spec.name != "lint/wildcard-race") out.push_back(spec);
+    return out;
+  };
+  const auto serial = run_specs(specs(), 1);
+  const auto parallel = run_specs(specs(), 4);
+  ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
+  ASSERT_GE(serial.outcomes.size(), 6u);
+  EXPECT_EQ(serial.failures(), 2u);
+  EXPECT_EQ(parallel.failures(), 2u);
+  for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+    const harness::ScenarioOutcome& a = serial.outcomes[i];
+    const harness::ScenarioOutcome& b = parallel.outcomes[i];
+    SCOPED_TRACE(a.name);
+    EXPECT_FALSE(a.lint_status.empty());
+    EXPECT_EQ(a.lint_status, b.lint_status);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.races, b.races);
+    EXPECT_EQ(a.hb_edges, b.hb_edges);
+    EXPECT_EQ(a.causal_sends, b.causal_sends);
+    EXPECT_EQ(a.leaks, b.leaks);
+    EXPECT_EQ(a.findings, b.findings);
+    EXPECT_LE(a.findings.size(), harness::kLintFindingsCap);
+  }
+}
+
 TEST(LintReport, WritesTheLintJsonSchema) {
-  ScenarioLintEntry clean;
-  clean.name = "lint/scripted-order";
-  clean.group = "lint";
-  clean.status = "clean";
-  ScenarioLintEntry racy;
-  racy.name = "lint/wildcard-race";
-  racy.group = "lint";
-  racy.status = "races";
-  racy.lint.races = 1;
-  racy.lint.findings.push_back({"R1-wildcard-race", "warning", "a", "b",
-                                "a races b"});
-  const std::string path =
-      ::testing::TempDir() + "lint_report_test.json";
-  ASSERT_TRUE(write_lint_json(path, "lint/*", 1, {clean, racy}));
+  // The lint fields of a CAMPAIGN.json row: a clean row, a failing one
+  // with its finding, and a row the analysis never reached.
+  harness::ScenarioSpec throwing;
+  throwing.name = "lint/throws";
+  throwing.group = "lint";
+  throwing.run =
+      [](const harness::ScenarioContext&) -> harness::ScenarioResult {
+    throw std::runtime_error("deliberate failure");
+  };
+  const auto* twin = scenarios::paper_registry().find("lint/scripted-order");
+  ASSERT_NE(twin, nullptr);
+  const auto report =
+      run_specs({*twin, wildcard_race(false), std::move(throwing)});
+  const std::string path = ::testing::TempDir() + "lint_report_test.json";
+  ASSERT_TRUE(harness::write_campaign_json(path, report));
   std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
   std::remove(path.c_str());
-  EXPECT_NE(text.find("\"schema\": \"gridsim-lint/1\""), std::string::npos);
-  EXPECT_NE(text.find("\"failures\": 1"), std::string::npos);
-  EXPECT_NE(text.find("\"status\": \"clean\""), std::string::npos);
-  EXPECT_NE(text.find("\"rule\": \"R1-wildcard-race\""), std::string::npos);
+  const auto row = [&lines](const std::string& name) {
+    for (const std::string& line : lines)
+      if (line.find("{\"name\": \"" + name + "\"") != std::string::npos)
+        return line;
+    ADD_FAILURE() << "no row for " << name;
+    return std::string();
+  };
+  const auto has = [](const std::string& line, const std::string& field) {
+    return line.find(field) != std::string::npos;
+  };
+  ASSERT_EQ(lines.size(), 14u);  // 9 header lines, 3 rows, 2 closing
+  EXPECT_TRUE(has(lines[1], "\"schema\": \"gridsim-campaign/1\""));
+  EXPECT_TRUE(has(lines[7], "\"failures\": 2"));
+
+  const std::string clean = row("lint/scripted-order");
+  EXPECT_TRUE(has(clean, "\"ok\": true")) << clean;
+  EXPECT_TRUE(has(clean, "\"races\": 0, \"hb_edges\": 3, "
+                         "\"lint_status\": \"clean\", "
+                         "\"causal_sends\": 0, \"leaks\": 0, "
+                         "\"findings\": []"))
+      << clean;
+
+  const std::string racy = row("lint/wildcard-race");
+  EXPECT_TRUE(has(racy, "\"ok\": false")) << racy;
+  EXPECT_TRUE(has(racy, "\"status\": \"failed\"")) << racy;
+  EXPECT_TRUE(has(racy, "\"lint_status\": \"races\", "
+                        "\"causal_sends\": 0, \"leaks\": 0, "
+                        "\"findings\": [{\"rule\": \"R1-wildcard-race\", "
+                        "\"severity\": \"warning\", "
+                        "\"site_a\": \"rank 1 send#0 -> 0 (tag 1)\", "
+                        "\"site_b\": \"rank 2 send#0 -> 0 (tag 1)\", "
+                        "\"message\": \""))
+      << racy;
+  EXPECT_TRUE(has(racy, "\"error\": \"lint verdict 'races': "
+                        "[R1-wildcard-race] "))
+      << racy;
+
+  const std::string thrown = row("lint/throws");
+  EXPECT_TRUE(has(thrown, "\"lint_status\": \"\", \"causal_sends\": 0, "
+                          "\"leaks\": 0, \"findings\": []"))
+      << thrown;
+  EXPECT_TRUE(has(thrown, "\"error\": \"deliberate failure\"")) << thrown;
 }
 
 }  // namespace

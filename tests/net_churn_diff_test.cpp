@@ -7,7 +7,7 @@
 // link utilizations. Conservation is checked on every link at every step.
 //
 // Runs under the "stress" ctest label (64 seeds x ~150 ops); CI runs it
-// under ASan+UBSan in the net-smoke job.
+// under ASan+UBSan in the asan stage (scripts/ci.sh asan).
 #include <gtest/gtest.h>
 
 #include <algorithm>

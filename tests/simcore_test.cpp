@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "simcore/callback.hpp"
+#include "simcore/json.hpp"
 #include "simcore/ring.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
@@ -333,6 +334,12 @@ TEST(Sync, SemaphoreLimitsConcurrency) {
   EXPECT_EQ(peak, 2);
   EXPECT_EQ(active, 0);
   EXPECT_EQ(sim.now(), 300);  // three waves of two
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(json_escape("a\nb\tc\x01"), "a\\u000ab\\u0009c\\u0001");
 }
 
 TEST(Ring, FifoAcrossGrowthAndWrapAround) {
