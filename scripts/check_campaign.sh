@@ -8,9 +8,16 @@
 # throws, times out or gets a failing lint verdict (an undeclared race, a
 # leak); the script then names the run and prints its failed rows.
 #
-# Usage: scripts/check_campaign.sh [filter] [jobs] [path/to/gridsim]
+# Given a CAMPAIGN.json from another build (typically the parent commit,
+# run with the same filter and the default seed), the script also checks
+# that the change is output-neutral: the rows of the serial and of the
+# --jobs N run must equal that report's rows line for line once `wall_s`
+# is stripped from all of them; otherwise it prints the diff and exits 1.
+#
+# Usage: scripts/check_campaign.sh [filter] [jobs] [path/to/gridsim] [base.json]
 #   FILTER  glob over scenario names/groups (default: table4*)
 #   JOBS    parallel worker count to compare against --jobs 1 (default: nproc)
+#   BASE    optional CAMPAIGN.json whose rows the runs must reproduce
 #   GRIDSIM_CLI overrides the default binary location.
 set -euo pipefail
 
@@ -19,10 +26,15 @@ cd "$(dirname "$0")/.."
 FILTER="${1:-table4*}"
 JOBS="${2:-$(nproc)}"
 CLI="${3:-${GRIDSIM_CLI:-build/src/tools/gridsim}}"
+BASE="${4:-}"
 
 if [[ ! -x "$CLI" ]]; then
   echo "check_campaign: gridsim binary not found at '$CLI'" >&2
   echo "build it first: cmake --preset release && cmake --build --preset release" >&2
+  exit 2
+fi
+if [[ -n "$BASE" && ! -f "$BASE" ]]; then
+  echo "check_campaign: base report '$BASE' not found" >&2
   exit 2
 fi
 
@@ -62,3 +74,17 @@ done
 
 COUNT="$(wc -l < "$WORKDIR/serial.digests")"
 echo "check_campaign: $COUNT scenario digests identical at --jobs 1, at --jobs $JOBS and on the oracle solver (filter '$FILTER')"
+
+if [[ -n "$BASE" ]]; then
+  # rows FILE: the report's scenario rows, one per line, minus wall time.
+  rows() { grep '^ *{"name": ' "$1" | sed -E 's/"wall_s": [-+0-9.eE]+, //'; }
+  rows "$BASE" > "$WORKDIR/base.rows"
+  for run in serial parallel; do
+    rows "$WORKDIR/$run/CAMPAIGN.json" > "$WORKDIR/$run.rows"
+    if ! diff -u "$WORKDIR/base.rows" "$WORKDIR/$run.rows"; then
+      echo "check_campaign: $run run's rows differ from $BASE (wall_s aside)" >&2
+      exit 1
+    fi
+  done
+  echo "check_campaign: $COUNT rows equal to $BASE at --jobs 1 and at --jobs $JOBS, wall_s aside"
+fi

@@ -93,7 +93,7 @@ Task<void> Rank::send(int dst, double bytes, int tag) {
   // Rendez-vous: RTS, wait for CTS, then the payload.
   const std::uint64_t seq = next_seq_++;
   Trigger cts(sim());
-  cts_waiters_[seq] = &cts;
+  cts_waiters_.push_back(CtsWaiter{seq, &cts});
   MsgMeta rts;
   rts.kind = MsgKind::kRndvRts;
   rts.src_rank = rank_;
@@ -105,7 +105,7 @@ Task<void> Rank::send(int dst, double bytes, int tag) {
   rts.send_site = site;
   job_->transmit(rank_, dst, p.control_bytes, rts);
   co_await cts.wait();
-  cts_waiters_.erase(seq);
+  cts_waiters_.erase(find_cts_waiter(seq));
   if (comm_ != nullptr) {
     // The CTS resumption is a receiver -> sender happens-before edge: the
     // sender's continuation is causally after the receiver's kRecvCts.
@@ -209,7 +209,8 @@ Task<RecvInfo> Rank::recv(int src, int tag) {
   assert(meta.kind == MsgKind::kRndvRts);
   Trigger data_done(sim());
   MsgMeta data_meta;
-  data_waiters_[meta.seq] = DataWaiter{&data_done, &data_meta};
+  data_waiters_.push_back(
+      DataWaiter{meta.src_rank, meta.seq, &data_done, &data_meta});
   MsgMeta cts;
   cts.kind = MsgKind::kRndvCts;
   cts.src_rank = rank_;
@@ -228,7 +229,7 @@ Task<RecvInfo> Rank::recv(int src, int tag) {
     comm_->push(e);
   }
   co_await data_done.wait();
-  data_waiters_.erase(meta.seq);
+  data_waiters_.erase(find_data_waiter(meta.src_rank, meta.seq));
   if (comm_ != nullptr) {
     // Payload landed: the receiver's continuation is causally after the
     // sender's post-CTS data send (kSendCts).
@@ -294,23 +295,39 @@ void Rank::on_arrival(const MsgMeta& meta) {
       break;
     }
     case MsgKind::kRndvCts: {
-      auto it = cts_waiters_.find(meta.seq);
+      const auto it = find_cts_waiter(meta.seq);
       GRIDSIM_CHECK(it != cts_waiters_.end(),
                     "rank %d: CTS for unknown rendez-vous seq %llu", rank_,
                     static_cast<unsigned long long>(meta.seq));
-      it->second->fire();
+      it->done->fire();
       break;
     }
     case MsgKind::kRndvData: {
-      auto it = data_waiters_.find(meta.seq);
+      const auto it = find_data_waiter(meta.src_rank, meta.seq);
       GRIDSIM_CHECK(it != data_waiters_.end(),
-                    "rank %d: payload for unknown rendez-vous seq %llu",
-                    rank_, static_cast<unsigned long long>(meta.seq));
-      *it->second.slot = meta;
-      it->second.done->fire();
+                    "rank %d: payload from rank %d for unknown rendez-vous "
+                    "seq %llu",
+                    rank_, meta.src_rank,
+                    static_cast<unsigned long long>(meta.seq));
+      *it->slot = meta;
+      it->done->fire();
       break;
     }
   }
+}
+
+std::vector<Rank::CtsWaiter>::iterator Rank::find_cts_waiter(
+    std::uint64_t seq) {
+  return std::find_if(cts_waiters_.begin(), cts_waiters_.end(),
+                      [seq](const CtsWaiter& w) { return w.seq == seq; });
+}
+
+std::vector<Rank::DataWaiter>::iterator Rank::find_data_waiter(
+    int src, std::uint64_t seq) {
+  return std::find_if(data_waiters_.begin(), data_waiters_.end(),
+                      [src, seq](const DataWaiter& w) {
+                        return w.src == src && w.seq == seq;
+                      });
 }
 
 void Rank::deliver_in_order(const MsgMeta& meta) {
@@ -429,17 +446,18 @@ void Rank::report_blocked(std::vector<std::string>* out) const {
     out->push_back("rank " + std::to_string(rank_) + ": probe(src=" +
                    src_str(pb.src) + ", tag=" + tag_str(pb.tag) +
                    ") blocked");
-  // The rendez-vous maps are unordered; emit in seq order so a deadlock
-  // report (and any witness built from it) is reproducible.
+  // Emit the rendez-vous waiters in seq order, not in the order they
+  // started waiting, so a deadlock report (and any witness built from it)
+  // reads the same however the handshakes interleaved.
   std::vector<std::uint64_t> seqs;
-  for (const auto& [seq, waiter] : cts_waiters_) seqs.push_back(seq);
+  for (const CtsWaiter& w : cts_waiters_) seqs.push_back(w.seq);
   std::sort(seqs.begin(), seqs.end());
   for (const std::uint64_t seq : seqs)
     out->push_back("rank " + std::to_string(rank_) +
                    ": rendez-vous send awaiting CTS (seq " +
                    std::to_string(seq) + ")");
   seqs.clear();
-  for (const auto& [seq, waiter] : data_waiters_) seqs.push_back(seq);
+  for (const DataWaiter& w : data_waiters_) seqs.push_back(w.seq);
   std::sort(seqs.begin(), seqs.end());
   for (const std::uint64_t seq : seqs)
     out->push_back("rank " + std::to_string(rank_) +
@@ -498,39 +516,44 @@ bool Rank::iprobe(int src, int tag, RecvInfo* out) const {
 namespace {
 
 Task<void> isend_body(Rank* self, int dst, double bytes, int tag,
-                      std::shared_ptr<Trigger> done) {
+                      std::shared_ptr<RequestState> state) {
   co_await self->send(dst, bytes, tag);
-  done->fire();
+  state->done.fire();
 }
 
 Task<void> irecv_body(Rank* self, int src, int tag,
-                      std::shared_ptr<Trigger> done,
-                      std::shared_ptr<RecvInfo> info) {
-  *info = co_await self->recv(src, tag);
-  done->fire();
+                      std::shared_ptr<RequestState> state) {
+  state->info = co_await self->recv(src, tag);
+  state->done.fire();
+}
+
+/// The request's shared state and its control block in one pooled block,
+/// so a warm isend/irecv does not call the global allocator.
+std::shared_ptr<RequestState> make_request_state(Simulation& sim) {
+  return std::allocate_shared<RequestState>(
+      detail::PoolAllocator<RequestState>{}, sim);
 }
 
 }  // namespace
 
 Request Rank::isend(int dst, double bytes, int tag) {
   Request r;
-  r.done_ = std::make_shared<Trigger>(sim());
-  sim().spawn(isend_body(this, dst, bytes, tag, r.done_));
+  r.state_ = make_request_state(sim());
+  sim().spawn(isend_body(this, dst, bytes, tag, r.state_));
   return r;
 }
 
 Request Rank::irecv(int src, int tag) {
   Request r;
-  r.done_ = std::make_shared<Trigger>(sim());
-  r.info_ = std::make_shared<RecvInfo>();
-  sim().spawn(irecv_body(this, src, tag, r.done_, r.info_));
+  r.state_ = make_request_state(sim());
+  sim().spawn(irecv_body(this, src, tag, r.state_));
   return r;
 }
 
 Task<RecvInfo> Rank::wait(Request req) {
   if (!req.valid()) throw std::invalid_argument("wait on empty Request");
-  co_await req.done_->wait();
-  co_return req.info_ ? *req.info_ : RecvInfo{};
+  co_await req.state_->done.wait();
+  co_return req.state_->info;
 }
 
 Task<void> Rank::wait_all(std::vector<Request> reqs) {
@@ -740,7 +763,24 @@ TrafficStats Job::traffic() const {
     for (int to = 0; to < size(); ++to)
       if (const PairState& p = pair(from, to); p.sent_payload)
         t.pair_bytes.emplace(std::make_pair(from, to), p.payload_bytes);
+  for (const SizeCount& c : size_counts_) {
+    auto& sizes = c.collective ? t.collective_sizes : t.p2p_sizes;
+    sizes.emplace_hint(sizes.end(), c.bytes, c.count);
+  }
   return t;
+}
+
+std::uint64_t& Job::size_count(bool collective, long long bytes) {
+  const std::pair<bool, long long> key{collective, bytes};
+  auto it = std::lower_bound(
+      size_counts_.begin(), size_counts_.end(), key,
+      [](const SizeCount& c, const std::pair<bool, long long>& k) {
+        return std::make_pair(c.collective, c.bytes) < k;
+      });
+  if (it == size_counts_.end() || it->collective != collective ||
+      it->bytes != bytes)
+    it = size_counts_.insert(it, SizeCount{collective, bytes, 0});
+  return it->count;
 }
 
 void Job::record_payload(int src, int dst, double bytes, int tag) {
@@ -753,15 +793,14 @@ void Job::record_payload(int src, int dst, double bytes, int tag) {
   PairState& p = pair(src, dst);
   p.payload_bytes += bytes;
   p.sent_payload = true;
-  const auto size_key = static_cast<long long>(std::llround(bytes));
-  if (tag >= kCollectiveTagBase) {
+  const bool collective = tag >= kCollectiveTagBase;
+  ++size_count(collective, static_cast<long long>(std::llround(bytes)));
+  if (collective) {
     ++traffic_.collective_messages;
     traffic_.collective_bytes += bytes;
-    ++traffic_.collective_sizes[size_key];
   } else {
     ++traffic_.p2p_messages;
     traffic_.p2p_bytes += bytes;
-    ++traffic_.p2p_sizes[size_key];
   }
 }
 

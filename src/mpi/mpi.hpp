@@ -21,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mpi/comm_log.hpp"
@@ -38,17 +37,24 @@ namespace gridsim::mpi {
 
 class Job;
 
+/// What a non-blocking operation's handle shares with the coroutine that
+/// completes it. One pooled block per request (see Rank::isend).
+struct RequestState {
+  explicit RequestState(Simulation& sim) : done(sim) {}
+  Trigger done;
+  RecvInfo info;  ///< filled by receives; stays empty for sends
+};
+
 /// Handle for a non-blocking operation. Copyable; wait via Rank::wait.
 class Request {
  public:
   Request() = default;
-  bool valid() const { return done_ != nullptr; }
-  bool complete() const { return done_ && done_->fired(); }
+  bool valid() const { return state_ != nullptr; }
+  bool complete() const { return state_ && state_->done.fired(); }
 
  private:
   friend class Rank;
-  std::shared_ptr<Trigger> done_;
-  std::shared_ptr<RecvInfo> info_;  // set for receives
+  std::shared_ptr<RequestState> state_;
 };
 
 /// Aggregate traffic statistics for a job (drives the table2 group).
@@ -59,7 +65,8 @@ struct TrafficStats {
   double collective_bytes = 0;
   std::uint64_t control_messages = 0;
   /// Message-size histogram: payload size (rounded to bytes) -> count,
-  /// split by point-to-point vs collective tag space.
+  /// split by point-to-point vs collective tag space. Built by
+  /// Job::traffic() from flat counters, like pair_bytes.
   std::map<long long, std::uint64_t> p2p_sizes;
   std::map<long long, std::uint64_t> collective_sizes;
   /// Payload bytes per directed rank pair (all tag spaces), for every pair
@@ -165,12 +172,23 @@ class Rank {
   std::deque<MsgMeta> arrived_;  // unexpected eager payloads + unmatched RTS
   std::deque<Posted> posted_;
   std::deque<Prober> probers_;
-  std::unordered_map<std::uint64_t, Trigger*> cts_waiters_;
+  // Rendez-vous handshakes in flight: a few at a time, so flat vectors
+  // searched linearly, which stop allocating once they have grown.
+  struct CtsWaiter {
+    std::uint64_t seq;  ///< this rank's handshake id
+    Trigger* done;
+  };
+  std::vector<CtsWaiter> cts_waiters_;  ///< sends awaiting their CTS
   struct DataWaiter {
+    int src;            ///< handshake ids are per sender
+    std::uint64_t seq;  ///< the sender's handshake id
     Trigger* done;
     MsgMeta* slot;
   };
-  std::unordered_map<std::uint64_t, DataWaiter> data_waiters_;
+  std::vector<DataWaiter> data_waiters_;  ///< receives awaiting the payload
+  std::vector<CtsWaiter>::iterator find_cts_waiter(std::uint64_t seq);
+  std::vector<DataWaiter>::iterator find_data_waiter(int src,
+                                                     std::uint64_t seq);
   std::uint64_t next_seq_ = 1;
   // Non-overtaking enforcement per peer: outgoing match-order stamps,
   // expected incoming order, and a reorder buffer for early arrivals.
@@ -252,6 +270,15 @@ class Job {
     double payload_bytes = 0;
     bool sent_payload = false;
   };
+  /// One payload-size counter (size rounded to bytes, per tag space).
+  struct SizeCount {
+    bool collective;
+    long long bytes;
+    std::uint64_t count;
+  };
+  /// The counter for `bytes` in `collective`'s tag space, created at zero
+  /// on first use.
+  std::uint64_t& size_count(bool collective, long long bytes);
   PairState& pair(int from, int to) {
     return pairs_[static_cast<std::size_t>(from) * ranks_.size() +
                   static_cast<std::size_t>(to)];
@@ -279,7 +306,9 @@ class Job {
   std::uint64_t blocked_reporter_id_ = 0;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::vector<PairState> pairs_;  ///< from * size() + to
-  TrafficStats traffic_;  ///< all but pair_bytes (see PairState)
+  /// Sorted by (collective, bytes); traffic() folds it into the histograms.
+  std::vector<SizeCount> size_counts_;
+  TrafficStats traffic_;  ///< all but the histograms and pair_bytes
   MessageRecorder recorder_;
 };
 

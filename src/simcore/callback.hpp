@@ -12,11 +12,13 @@
 // The pool (`detail::pool_alloc` / `detail::pool_free`, callback.cpp) is a
 // thread-local set of size-class free lists. It serves spilled callback
 // payloads and, through `operator new`/`operator delete` on the coroutine
-// promise types (simcore/task.hpp, simulation.cpp), every coroutine frame,
-// so once a run is warm neither scheduling an event nor calling a coroutine
-// touches the global allocator. Under AddressSanitizer a pooled block is
-// poisoned while it sits on a free list, so touching a destroyed frame or a
-// freed payload is still reported (use-after-poison).
+// promise types (simcore/task.hpp, simulation.cpp), every coroutine frame;
+// `detail::PoolAllocator` serves the shared state of each non-blocking MPI
+// request. Once a run is warm neither scheduling an event, calling a
+// coroutine nor posting an isend/irecv touches the global allocator. Under
+// AddressSanitizer a pooled block is poisoned while it sits on a free list,
+// so touching a destroyed frame or a freed payload is still reported
+// (use-after-poison).
 //
 // `Callback` is move-only and trivially relocatable by construction: every
 // state is either a trivially copyable inline buffer or a raw owning
@@ -56,6 +58,24 @@ void* pool_alloc(std::size_t size);
 void pool_free(void* p, std::size_t size) noexcept;
 /// `pool_alloc` for a spilled callback payload; counted in CallbackStats.
 void* callback_alloc(std::size_t size);
+
+/// Standard allocator over the pool, for per-message shared state
+/// (`std::allocate_shared<T>(PoolAllocator<T>{}, ...)`).
+template <typename T>
+struct PoolAllocator {
+  using value_type = T;
+  PoolAllocator() noexcept = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(pool_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept { pool_free(p, n * sizeof(T)); }
+};
+template <typename T, typename U>
+bool operator==(const PoolAllocator<T>&, const PoolAllocator<U>&) noexcept {
+  return true;
+}
 
 }  // namespace detail
 

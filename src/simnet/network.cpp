@@ -178,8 +178,18 @@ void Network::release_flow(Flow& f) {
 void Network::set_rate_cap(FlowId id, double rate_cap) {
   Flow* f = find_flow(id);
   if (f == nullptr) return;
+  const double cap = std::max(rate_cap, kMinRate);
   begin_mutation(f->links, f);
-  f->rate_cap = std::max(rate_cap, kMinRate);
+  if (mode_ == SolverMode::kIncremental && cap == f->rate_cap) {
+    // Progressive filling is a pure function of the component's flows, caps
+    // and capacities, and none of them moved: a re-solve would write back
+    // the rates the flows already hold, bit for bit. The settle above and
+    // the scheduling below still run, so the touch log, completion checks
+    // and done re-posts stay exactly where the oracle puts them.
+    schedule_after_component_solve();
+    return;
+  }
+  f->rate_cap = cap;
   solve_and_schedule();
 }
 
@@ -197,11 +207,6 @@ FlowInfo Network::flow_info(FlowId id) const {
   const Flow* f = find_flow(id);
   if (f == nullptr) return {};
   return FlowInfo{f->rate, f->achievable, projected_remaining(*f)};
-}
-
-double Network::flow_remaining(FlowId id) const {
-  const Flow* f = find_flow(id);
-  return f == nullptr ? 0 : projected_remaining(*f);
 }
 
 double Network::link_utilization(LinkId l) const {

@@ -20,7 +20,11 @@
 // mutation seeds a dirty set, and only the connected component of
 // links/flows reachable from it is settled and re-solved — flows outside
 // the component keep their frozen rates, and an uncontended flow takes a
-// constant-time fast path. The pre-incremental global solver is retained
+// constant-time fast path. A rate-cap update that leaves the cap unchanged
+// (most TCP ticks) settles the component and reschedules its completions
+// like any mutation, but does not re-solve it: the solve is a pure
+// function of flows, caps and capacities, so it would reproduce the rates
+// the flows already hold. The pre-incremental global solver is retained
 // as a differential-testing oracle behind the `GRIDSIM_NET_ORACLE` knob
 // (environment variable, or `set_solver_mode()`); both solvers produce
 // bit-identical rates, a guarantee enforced by the differential churn
@@ -160,19 +164,18 @@ class Network {
   FlowId start_flow(const Route& route, double bytes, double rate_cap,
                     Callback on_complete);
   /// Updates a flow's rate cap (TCP window changes). No-op on unknown ids.
+  /// An unchanged cap still counts as a mutation (settle, completion
+  /// checks), but the incremental solver skips the re-solve.
   void set_rate_cap(FlowId id, double rate_cap);
   /// Aborts a flow without firing its completion. No-op on unknown ids.
   void cancel_flow(FlowId id);
   bool flow_active(FlowId id) const { return find_flow(id) != nullptr; }
-  /// All zero for unknown ids.
+  /// All zero for unknown ids. `remaining` is quantized at the network's
+  /// last settle point (the most recent mutation or completion check
+  /// anywhere) — the exact value the global-resolve oracle reports.
+  /// Settling is lazy per flow, so this projects from the flow's own
+  /// settle anchor without mutating it.
   FlowInfo flow_info(FlowId id) const;
-
-  /// Bytes not yet transferred, quantized at the network's last settle
-  /// point (the most recent mutation or completion check anywhere) — the
-  /// exact value the global-resolve oracle reports. Settling is lazy per
-  /// flow, so this projects from the flow's own settle anchor without
-  /// mutating it; 0 for unknown ids.
-  double flow_remaining(FlowId id) const;
 
   int active_flow_count() const { return active_flows_; }
   /// Total allocated rate crossing `l` right now (<= capacity). Reads the

@@ -218,6 +218,11 @@ void TcpChannel::on_tick(std::uint64_t gen) {
   // Without fault injection latencies are static and this is a no-op.
   rtt_ = 2 * route_->latency;
 
+  // `remaining` is quantized at the network's last settle point, so the cap
+  // computed from it below — and with it the solved rates and every pinned
+  // campaign digest — is identical under the incremental solver and the
+  // eager-settling oracle. Nothing touches the network before the cap is
+  // set, so the value read here is still current there.
   const net::FlowInfo info = net_.flow_info(flow_);
 
   // Degraded progress: the allocation collapsed to (near) nothing — a link
@@ -237,7 +242,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
     stall_backoff_ = stall_backoff_ == 0
                          ? std::max<SimTime>(rtt_, params_.idle_rto)
                          : std::min<SimTime>(stall_backoff_ * 2, seconds(2));
-    update_flow_cap();
+    net_.set_rate_cap(flow_, rate_cap(info.remaining));
     schedule_tick(stall_backoff_);
     return;
   }
@@ -262,7 +267,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
     grow_window();
   }
   cwnd_ = std::max(cwnd_, 2 * params_.mss);
-  update_flow_cap();
+  net_.set_rate_cap(flow_, rate_cap(info.remaining));
   schedule_tick();
 }
 
@@ -345,16 +350,6 @@ void TcpChannel::apply_idle_decay() {
   }
   cwnd_ = std::max(w, iw);
   if (cwnd_ < ssthresh_) in_slow_start_ = true;
-}
-
-void TcpChannel::update_flow_cap() {
-  if (flow_ == net::kInvalidFlow) return;
-  // flow_remaining() is quantized at the network's last settle point, so
-  // the cap computed here — and with it the solved rates and every pinned
-  // campaign digest — is identical under the incremental solver and the
-  // eager-settling oracle.
-  const double remaining = net_.flow_remaining(flow_);
-  net_.set_rate_cap(flow_, rate_cap(remaining));
 }
 
 TcpChannel& TcpConnection::from(net::HostId host) {

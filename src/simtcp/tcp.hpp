@@ -162,7 +162,6 @@ class TcpChannel {
   void on_loss();
   void grow_window();
   void apply_idle_decay();
-  void update_flow_cap();
   double rate_cap(double remaining_bytes) const;
 
   net::Network& net_;

@@ -165,7 +165,6 @@ TEST_P(MaxMinClosedForm, StaleIdCannotReachTheFlowReusingItsSlot) {
   EXPECT_EQ(stale.rate, 0);
   EXPECT_EQ(stale.achievable_rate, 0);
   EXPECT_EQ(stale.remaining, 0);
-  EXPECT_EQ(net.flow_remaining(fa), 0);
 
   net.set_rate_cap(fa, 1e3);
   EXPECT_DOUBLE_EQ(net.flow_info(fb).rate, 1e8);

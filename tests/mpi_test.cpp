@@ -245,6 +245,34 @@ TEST(Mpi, IsendIrecvWait) {
   EXPECT_DOUBLE_EQ(got.bytes, 4096);
 }
 
+Task<void> send_one(Rank& r, int dst, double bytes, int tag) {
+  co_await r.send(dst, bytes, tag);
+}
+
+Task<void> receive_two(Rank& r, std::vector<RecvInfo>& out) {
+  Request a = r.irecv(1, 5);
+  Request b = r.irecv(2, 6);
+  out.push_back(co_await r.wait(a));
+  out.push_back(co_await r.wait(b));
+}
+
+TEST(Mpi, ConcurrentRendezvousFromSendersWithTheSameSeq) {
+  // Ranks 1 and 2 each make their first rendez-vous send to rank 0, so both
+  // handshakes carry seq 1, and rank 0 waits for both payloads at once: a
+  // payload waiter is found by its sender as well as its seq.
+  Fixture f;
+  std::vector<RecvInfo> got;
+  f.sim.spawn(send_one(f.job.rank(1), 0, 1e6, 5));
+  f.sim.spawn(send_one(f.job.rank(2), 0, 2e6, 6));
+  f.sim.spawn(receive_two(f.job.rank(0), got));
+  f.sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].source, 1);
+  EXPECT_DOUBLE_EQ(got[0].bytes, 1e6);
+  EXPECT_EQ(got[1].source, 2);
+  EXPECT_DOUBLE_EQ(got[1].bytes, 2e6);
+}
+
 TEST(Mpi, WaitAllCompletesEverything) {
   Fixture f;
   int received = 0;

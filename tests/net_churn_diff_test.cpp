@@ -1,7 +1,9 @@
 // Differential property suite for the incremental max-min solver: one
 // Simulation drives two Networks — the incremental solver and the retained
 // global-resolve oracle — through identical seeded churn schedules (flow
-// arrivals/departures, cap changes, link-capacity changes, time advances).
+// arrivals/departures, cap changes, re-applied unchanged caps, which the
+// incremental solver settles and reschedules without re-solving,
+// link-capacity changes, time advances).
 // After every step the two must agree EXACTLY (bitwise doubles, not within
 // a tolerance): same active flows, same rates, same remaining bytes, same
 // link utilizations. Conservation is checked on every link at every step.
@@ -82,9 +84,11 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
   build(inc.net);
   build(ora.net);
 
-  // Route links by flow id, tracked for the per-link conservation check
-  // (identical for both networks by construction).
+  // Route links and current caps by flow id, tracked for the per-link
+  // conservation check and the same-cap mutation (identical for both
+  // networks by construction).
   std::map<FlowId, std::vector<LinkId>> flow_links;
+  std::map<FlowId, double> flow_caps;
 
   const auto check_agreement = [&](const char* what) {
     ASSERT_EQ(inc.active, ora.active) << what << " seed=" << seed;
@@ -128,6 +132,7 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
   };
 
   const int ops = 150;
+  int same_cap_ops = 0;
   for (int op = 0; op < ops; ++op) {
     // Advance virtual time (0 keeps same-timestamp mutation bursts in the
     // mix); completion events for both networks fire inside run_until.
@@ -150,12 +155,24 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       inc.active.insert(fi);
       ora.active.insert(fo);
       flow_links[fi] = inc.net.route(i, j).links;
-    } else if (kind < 70) {
+      flow_caps[fi] = cap;
+    } else if (kind < 60) {
       const FlowId f = pick_active();
       const double cap =
           (rng() % 4 == 0) ? kUnlimitedRate : 1e6 * static_cast<double>(1 + rng() % 1000);
       inc.net.set_rate_cap(f, cap);
       ora.net.set_rate_cap(f, cap);
+      flow_caps[f] = cap;
+    } else if (kind < 70) {
+      // Same cap again (unlimited included): a TCP tick that changes
+      // nothing. It still settles and reschedules, so it must move both
+      // networks identically; the incremental one must not re-solve.
+      const FlowId f = pick_active();
+      const std::uint64_t solves = inc.net.solver_stats().solves;
+      inc.net.set_rate_cap(f, flow_caps.at(f));
+      ora.net.set_rate_cap(f, flow_caps.at(f));
+      ASSERT_EQ(inc.net.solver_stats().solves, solves) << "seed=" << seed;
+      ++same_cap_ops;
     } else if (kind < 85) {
       const FlowId f = pick_active();
       inc.net.cancel_flow(f);
@@ -202,6 +219,7 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
   check_agreement("post-drain");
   EXPECT_EQ(inc.net.active_flow_count(), 0);
   EXPECT_EQ(ora.net.active_flow_count(), 0);
+  EXPECT_GT(same_cap_ops, 0) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnDifferential, ::testing::Range(0, 64));

@@ -2,7 +2,10 @@
 // primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/callback.hpp"
@@ -66,6 +69,91 @@ TEST(EventQueue, NextTime) {
   EXPECT_EQ(q.next_time(), kSimTimeNever);
   q.schedule(7, [] {});
   EXPECT_EQ(q.next_time(), 7);
+}
+
+// Drives random at/after/post calls and records what the engine runs. Each
+// call lands at the current instant or a few ns ahead, so most events share
+// a timestamp with others that sit in the heap, in the same-time lane, or
+// in both; callbacks schedule more events, and the test loop schedules
+// from outside between run_until() slices (where now() can be ahead of the
+// last executed event). The reference is a plain count and a sort.
+class OrderModel {
+ public:
+  OrderModel(Simulation& sim, std::uint64_t seed, int budget)
+      : sim_(sim), rng_(seed), budget_(budget) {}
+
+  int scheduled() const { return static_cast<int>(scheduled_.size()); }
+
+  void schedule_some(int max_count) {
+    const auto n = rng_.uniform_int(0, max_count);
+    for (std::int64_t i = 0; i < n && scheduled() < budget_; ++i) {
+      static constexpr SimTime kOffsets[] = {0, 0, 0, 1, 2, 7};
+      const SimTime dt = kOffsets[rng_.uniform_int(0, 5)];
+      const int id = scheduled();
+      scheduled_.emplace_back(sim_.now() + dt, id);
+      Callback run = [this, id] { on_run(id); };
+      switch (rng_.uniform_int(0, 2)) {
+        case 0:
+          sim_.at(sim_.now() + dt, std::move(run));
+          break;
+        case 1:
+          sim_.after(dt, std::move(run));
+          break;
+        default:
+          if (dt == 0) {
+            sim_.post(std::move(run));
+          } else {
+            sim_.at(sim_.now() + dt, std::move(run));
+          }
+      }
+      const std::size_t pending = scheduled_.size() - ran_.size();
+      if (sim_.queue_depth() != pending) ++depth_mismatches_;
+      peak_ = std::max(peak_, pending);
+    }
+  }
+
+  void check() const {
+    // Run order = (time, insertion index) order, the heap-only engine's.
+    std::vector<std::pair<SimTime, int>> expected = scheduled_;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ran_, expected);
+    EXPECT_EQ(depth_mismatches_, 0);
+    EXPECT_EQ(sim_.peak_queue_depth(), peak_);
+  }
+
+ private:
+  void on_run(int id) {
+    ran_.emplace_back(sim_.now(), id);
+    if (sim_.queue_depth() != scheduled_.size() - ran_.size())
+      ++depth_mismatches_;
+    schedule_some(3);
+  }
+
+  Simulation& sim_;
+  Rng rng_;
+  int budget_;
+  std::vector<std::pair<SimTime, int>> scheduled_;  // (time, insertion index)
+  std::vector<std::pair<SimTime, int>> ran_;
+  std::size_t peak_ = 0;
+  int depth_mismatches_ = 0;
+};
+
+TEST(EventQueue, SameTimeLaneKeepsTimeThenInsertionOrder) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulation sim;
+    OrderModel model(sim, seed, 4000);
+    Rng slices(seed + 1000);
+    SimTime horizon = 0;
+    while (model.scheduled() < 4000 && horizon < 100'000) {
+      model.schedule_some(4);
+      horizon += slices.uniform_int(0, 3);
+      sim.run_until(horizon);
+    }
+    sim.run();
+    EXPECT_EQ(sim.queue_depth(), 0u);
+    model.check();
+  }
 }
 
 TEST(Simulation, NowAdvancesWithEvents) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "simcore/simulation.hpp"
@@ -114,6 +115,51 @@ TEST(Network, SetRateCapMidFlight) {
   t.sim.at(500_ms, [&] { t.network.set_rate_cap(f, 2.5e7); });
   t.sim.run();
   EXPECT_EQ(done, 2500_ms);
+}
+
+TEST(Network, ReapplyingAFlowsCapSkipsTheResolve) {
+  // A capped and an unlimited flow share one link. Half-way through the
+  // capped one, both get their current cap again: the incremental solver
+  // settles and reschedules but solves nothing, and neither rate nor
+  // completion time moves against a run without the re-application.
+  const auto run = [](bool reapply) {
+    TwoHosts t(1e8);
+    t.network.set_solver_mode(SolverMode::kIncremental);
+    std::vector<SimTime> done(2, -1);
+    const FlowId capped = t.network.start_flow(
+        t.a, t.b, 1e7, 2e7, [&] { done[0] = t.sim.now(); });
+    const FlowId open = t.network.start_flow(
+        t.a, t.b, 1e8, kUnlimitedRate, [&] { done[1] = t.sim.now(); });
+    t.sim.run_until(250_ms);
+    if (reapply) {
+      const std::uint64_t solves = t.network.solver_stats().solves;
+      const FlowInfo c = t.network.flow_info(capped);
+      const FlowInfo o = t.network.flow_info(open);
+      t.network.set_rate_cap(capped, 2e7);
+      t.network.set_rate_cap(open, kUnlimitedRate);
+      EXPECT_EQ(t.network.solver_stats().solves, solves);
+      EXPECT_EQ(t.network.flow_info(capped).rate, c.rate);
+      EXPECT_EQ(t.network.flow_info(capped).achievable_rate,
+                c.achievable_rate);
+      EXPECT_EQ(t.network.flow_info(open).rate, o.rate);
+      EXPECT_EQ(t.network.flow_info(open).achievable_rate,
+                o.achievable_rate);
+    }
+    t.sim.run();
+    return done;
+  };
+  const std::vector<SimTime> plain = run(false);
+  EXPECT_EQ(plain[0], 500_ms);  // 10 MB at its 20 MB/s cap
+  EXPECT_EQ(run(true), plain);
+
+  // A cap that does change is solved.
+  TwoHosts t(1e8);
+  t.network.set_solver_mode(SolverMode::kIncremental);
+  const FlowId f = t.network.start_flow(t.a, t.b, 1e8, 2e7, nullptr);
+  const std::uint64_t solves = t.network.solver_stats().solves;
+  t.network.set_rate_cap(f, 3e7);
+  EXPECT_EQ(t.network.solver_stats().solves, solves + 1);
+  EXPECT_EQ(t.network.flow_info(f).rate, 3e7);
 }
 
 TEST(Network, CancelFlowReleasesBandwidth) {
