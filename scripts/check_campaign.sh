@@ -10,9 +10,11 @@
 #
 # Given a CAMPAIGN.json from another build (typically the parent commit,
 # run with the same filter and the default seed), the script also checks
-# that the change is output-neutral: the rows of the serial and of the
-# --jobs N run must equal that report's rows line for line once `wall_s`
-# is stripped from all of them; otherwise it prints the diff and exits 1.
+# that the change is output-neutral: the rows of the serial, of the
+# --jobs N and of the oracle run must equal that report's rows line for
+# line once `wall_s` is stripped from all of them (so the oracle check
+# covers every row field, not only the digest); otherwise it prints the
+# diff and exits 1.
 #
 # Usage: scripts/check_campaign.sh [filter] [jobs] [path/to/gridsim] [base.json]
 #   FILTER  glob over scenario names/groups (default: table4*)
@@ -79,12 +81,12 @@ if [[ -n "$BASE" ]]; then
   # rows FILE: the report's scenario rows, one per line, minus wall time.
   rows() { grep '^ *{"name": ' "$1" | sed -E 's/"wall_s": [-+0-9.eE]+, //'; }
   rows "$BASE" > "$WORKDIR/base.rows"
-  for run in serial parallel; do
+  for run in serial parallel oracle; do
     rows "$WORKDIR/$run/CAMPAIGN.json" > "$WORKDIR/$run.rows"
     if ! diff -u "$WORKDIR/base.rows" "$WORKDIR/$run.rows"; then
       echo "check_campaign: $run run's rows differ from $BASE (wall_s aside)" >&2
       exit 1
     fi
   done
-  echo "check_campaign: $COUNT rows equal to $BASE at --jobs 1 and at --jobs $JOBS, wall_s aside"
+  echo "check_campaign: $COUNT rows equal to $BASE at --jobs 1, at --jobs $JOBS and on the oracle solver, wall_s aside"
 fi

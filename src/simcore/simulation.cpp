@@ -88,6 +88,8 @@ SimTime Simulation::run() {
 }
 
 bool Simulation::run_until(SimTime t) {
+  if (t < now_)
+    throw std::logic_error("Simulation::run_until: time in the past");
   while (!queue_.empty() && queue_.next_time() <= t) {
     now_ = queue_.next_time();
     queue_.run_next();

@@ -88,10 +88,12 @@ class Simulation {
   /// DeadlockError is thrown instead of returning with the wedge hidden.
   SimTime run();
 
-  /// Runs events with timestamp <= t, then sets now() = t.
-  /// Returns true if the queue still has pending events. Unlike run(),
-  /// never throws DeadlockError: callers use the returned horizon as their
-  /// own watchdog (see tests/fault_properties_test.cpp).
+  /// Runs events with timestamp <= t, then sets now() = t. `t` must be
+  /// >= now(): an earlier one throws std::logic_error, as at() does, and
+  /// leaves the clock alone. Returns true if the queue still has pending
+  /// events. Unlike run(), never throws DeadlockError: callers use the
+  /// returned horizon as their own watchdog (see
+  /// tests/fault_properties_test.cpp).
   bool run_until(SimTime t);
 
   /// Registers a quiescence hook consulted by run() when the queue drains

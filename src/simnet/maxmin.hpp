@@ -17,7 +17,8 @@
 //    from a mutation's dirty set and re-solves *only that component*; flows
 //    outside it keep their frozen rates. Uncontended flows (no link shared
 //    with any other flow) take a constant-time fast path, SimGrid-surf
-//    style.
+//    style. A mutation that moves no rate collects its flow alone
+//    (`collect_flow()`) and solves nothing.
 //  - `solve_global_reference()`: the historical global pass, kept verbatim
 //    as the differential-testing oracle (`GRIDSIM_NET_ORACLE`).
 //
@@ -110,6 +111,18 @@ class Solver {
                          const std::vector<LinkId>& seed_links,
                          FlowState* seed_flow);
 
+  /// Makes `f` alone the collected component, with no BFS and no sort:
+  /// `comp_flows()` is `{f}` and `comp_links()` is empty. For a mutation
+  /// that moves no rate (an unchanged cap), whose component needs neither
+  /// a settle nor a solve. solve_component() must not follow: `f` may
+  /// share its links.
+  void collect_flow(FlowState* f) {
+    ++epoch_;
+    f->mark = epoch_;
+    comp_flows_.assign(1, f);
+    comp_links_.clear();
+  }
+
   /// Drops one flow from the collected component (a departing flow is
   /// settled as part of its component but must not participate in the
   /// re-solve). The component stays valid: solving the remainder as one
@@ -120,7 +133,8 @@ class Solver {
   /// links carry any other flow — the constant-time fast path applies.
   bool component_is_uncontended() const;
 
-  /// True when `f` was gathered by the latest collect_component().
+  /// True when `f` was gathered by the latest collect_component() or
+  /// collect_flow().
   bool in_component(const FlowState* f) const { return f->mark == epoch_; }
 
   /// Re-solves the collected component. `capacity[l]` must give every

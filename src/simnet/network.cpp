@@ -179,16 +179,21 @@ void Network::set_rate_cap(FlowId id, double rate_cap) {
   Flow* f = find_flow(id);
   if (f == nullptr) return;
   const double cap = std::max(rate_cap, kMinRate);
-  begin_mutation(f->links, f);
   if (mode_ == SolverMode::kIncremental && cap == f->rate_cap) {
-    // Progressive filling is a pure function of the component's flows, caps
-    // and capacities, and none of them moved: a re-solve would write back
-    // the rates the flows already hold, bit for bit. The settle above and
-    // the scheduling below still run, so the touch log, completion checks
-    // and done re-posts stay exactly where the oracle puts them.
+    // Progressive filling is a pure function of flows, caps and capacities,
+    // and none of them moved, so no rate moves anywhere. The touch is still
+    // logged, so every later lazy settle replays the oracle's segments. The
+    // rest of the component is then in the position of flows outside a
+    // mutated component: an unchanged eta inserts no event, and a flow due
+    // at this instant is found by the eta drain. The flow itself is settled
+    // only to keep its touch-log replay short.
+    register_touch();
+    solver_.collect_flow(f);
+    settle_flow(*f);
     schedule_after_component_solve();
     return;
   }
+  begin_mutation(f->links, f);
   f->rate_cap = cap;
   solve_and_schedule();
 }
@@ -359,7 +364,10 @@ void Network::schedule_after_component_solve() {
   // possible when their completion check is due at this exact instant.
   // Merge all three sets in the oracle's order; every other flow
   // contributes no insertion there (the eta guard returns), so skipping
-  // them changes nothing.
+  // them changes nothing. After an unchanged cap the "component" is the
+  // ticking flow alone, so this merge also carries the rest of the
+  // component that flow shares links with: its done re-posts and its due
+  // flows come from here, in the same order.
   sched_scratch_.clear();
   for (maxmin::FlowState* fs : solver_.comp_flows())
     sched_scratch_.push_back(static_cast<Flow*>(fs));

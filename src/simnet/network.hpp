@@ -21,12 +21,12 @@
 // links/flows reachable from it is settled and re-solved — flows outside
 // the component keep their frozen rates, and an uncontended flow takes a
 // constant-time fast path. A rate-cap update that leaves the cap unchanged
-// (most TCP ticks) settles the component and reschedules its completions
-// like any mutation, but does not re-solve it: the solve is a pure
-// function of flows, caps and capacities, so it would reproduce the rates
-// the flows already hold. The pre-incremental global solver is retained
-// as a differential-testing oracle behind the `GRIDSIM_NET_ORACLE` knob
-// (environment variable, or `set_solver_mode()`); both solvers produce
+// (most TCP ticks) moves no rate — the solve is a pure function of flows,
+// caps and capacities — so it logs the touch and settles and reschedules
+// only its own flow: the rest of its component is left as flows outside a
+// mutated component always are. The pre-incremental global solver is
+// retained as a differential-testing oracle behind the `GRIDSIM_NET_ORACLE`
+// knob (environment variable, or `set_solver_mode()`); both solvers produce
 // bit-identical rates, a guarantee enforced by the differential churn
 // suite and the campaign-digest oracle check in CI.
 //
@@ -164,8 +164,10 @@ class Network {
   FlowId start_flow(const Route& route, double bytes, double rate_cap,
                     Callback on_complete);
   /// Updates a flow's rate cap (TCP window changes). No-op on unknown ids.
-  /// An unchanged cap still counts as a mutation (settle, completion
-  /// checks), but the incremental solver skips the re-solve.
+  /// An unchanged cap still counts as a mutation (a global settle point,
+  /// completion checks, done re-posts), but the incremental solver neither
+  /// collects nor solves the component: it settles and reschedules only
+  /// this flow.
   void set_rate_cap(FlowId id, double rate_cap);
   /// Aborts a flow without firing its completion. No-op on unknown ids.
   void cancel_flow(FlowId id);

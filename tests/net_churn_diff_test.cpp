@@ -1,12 +1,13 @@
 // Differential property suite for the incremental max-min solver: one
 // Simulation drives two Networks — the incremental solver and the retained
 // global-resolve oracle — through identical seeded churn schedules (flow
-// arrivals/departures, cap changes, re-applied unchanged caps, which the
-// incremental solver settles and reschedules without re-solving,
-// link-capacity changes, time advances).
+// arrivals/departures, cap changes, re-applied unchanged caps, for which
+// the incremental solver settles and reschedules only the re-capped flow
+// and solves nothing, link-capacity changes, time advances).
 // After every step the two must agree EXACTLY (bitwise doubles, not within
-// a tolerance): same active flows, same rates, same remaining bytes, same
-// link utilizations. Conservation is checked on every link at every step.
+// a tolerance): same active flows, same completions in the same order at
+// the same nanosecond, same rates, same remaining bytes, same link
+// utilizations. Conservation is checked on every link at every step.
 //
 // Runs under the "stress" ctest label (64 seeds x ~150 ops); CI runs it
 // under ASan+UBSan in the asan stage (scripts/ci.sh asan).
@@ -18,6 +19,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/check.hpp"
@@ -32,6 +34,9 @@ using namespace gridsim::literals;
 struct NetUnderTest {
   Network net;
   std::set<FlowId> active;
+  /// (completion time, index of the op that started the flow), in the
+  /// order the completion callbacks ran.
+  std::vector<std::pair<SimTime, int>> completions;
   explicit NetUnderTest(Simulation& sim, SolverMode mode) : net(sim) {
     net.set_solver_mode(mode);
   }
@@ -149,8 +154,12 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       const double bytes = std::pow(10.0, mag(rng));
       const double cap =
           (rng() % 2 == 0) ? kUnlimitedRate : 1e6 * static_cast<double>(1 + rng() % 1000);
-      const FlowId fi = inc.net.start_flow(i, j, bytes, cap, nullptr);
-      const FlowId fo = ora.net.start_flow(i, j, bytes, cap, nullptr);
+      const FlowId fi = inc.net.start_flow(i, j, bytes, cap, [&inc, &sim, op] {
+        inc.completions.emplace_back(sim.now(), op);
+      });
+      const FlowId fo = ora.net.start_flow(i, j, bytes, cap, [&ora, &sim, op] {
+        ora.completions.emplace_back(sim.now(), op);
+      });
       ASSERT_EQ(fi, fo);
       inc.active.insert(fi);
       ora.active.insert(fo);
@@ -165,8 +174,10 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       flow_caps[f] = cap;
     } else if (kind < 70) {
       // Same cap again (unlimited included): a TCP tick that changes
-      // nothing. It still settles and reschedules, so it must move both
-      // networks identically; the incremental one must not re-solve.
+      // nothing. The incremental solver logs the settle point and settles
+      // and reschedules only this flow, leaving the rest of its component
+      // unsettled; both networks must still move identically, and the
+      // incremental one must not re-solve.
       const FlowId f = pick_active();
       const std::uint64_t solves = inc.net.solver_stats().solves;
       inc.net.set_rate_cap(f, flow_caps.at(f));
@@ -190,6 +201,11 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       ora.net.set_link_capacity(l, cap);
     }
 
+    // Both networks must have finished the same flows at the same instants
+    // and in the same order. A 1 ns shift, or two completions swapped
+    // within one instant, shows here and nowhere else.
+    ASSERT_EQ(inc.completions, ora.completions)
+        << "completion drift after op " << op << " seed=" << seed;
     // Completion callbacks are not wired into the active sets (the nets
     // must stay in lockstep even through completions), so sync via
     // flow_active — asserting both networks finished the same flows.
@@ -220,6 +236,7 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
   EXPECT_EQ(inc.net.active_flow_count(), 0);
   EXPECT_EQ(ora.net.active_flow_count(), 0);
   EXPECT_GT(same_cap_ops, 0) << "seed=" << seed;
+  EXPECT_FALSE(inc.completions.empty()) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnDifferential, ::testing::Range(0, 64));

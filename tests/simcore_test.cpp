@@ -186,6 +186,19 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.now(), 100);
 }
 
+TEST(Simulation, RunUntilAPastTimeThrowsAndKeepsTheClock) {
+  // Turning the clock back would make the next after() land before the
+  // queue's floor; the mistake must surface at the call that makes it.
+  Simulation sim;
+  EXPECT_FALSE(sim.run_until(2_ms));
+  EXPECT_THROW(sim.run_until(1_ms), std::logic_error);
+  EXPECT_EQ(sim.now(), 2_ms);
+  SimTime fired = -1;
+  sim.after(1_ms, [&] { fired = sim.now(); });
+  sim.run();
+  EXPECT_EQ(fired, 3_ms);
+}
+
 TEST(Simulation, EventsCanScheduleEvents) {
   Simulation sim;
   std::vector<SimTime> times;

@@ -118,39 +118,90 @@ TEST(Network, SetRateCapMidFlight) {
 }
 
 TEST(Network, ReapplyingAFlowsCapSkipsTheResolve) {
-  // A capped and an unlimited flow share one link. Half-way through the
-  // capped one, both get their current cap again: the incremental solver
-  // settles and reschedules but solves nothing, and neither rate nor
-  // completion time moves against a run without the re-application.
-  const auto run = [](bool reapply) {
+  // Two capped flows and an unlimited one share one link, and flows get
+  // their current cap again: half-way through the capped flows (every
+  // flow), or at exactly 500 ms, the instant both capped flows run out (the
+  // open flow). The incremental solver settles and reschedules only the
+  // re-capped flow and solves nothing; at 500 ms it is the eta drain that
+  // must find the capped flows due and post them in arrival order. On both
+  // solvers neither rate nor completion time nor completion order moves
+  // against a run without the re-application, and both solvers process the
+  // same events.
+  enum class Reapply { kNone, kHalfWay, kAtCappedFlowsEnd };
+  struct Outcome {
+    std::vector<SimTime> done = std::vector<SimTime>(3, -1);
+    std::vector<int> order;  ///< flow indices in completion order
+    std::uint64_t events = 0;
+  };
+  const auto run = [](SolverMode mode, Reapply reapply) {
     TwoHosts t(1e8);
-    t.network.set_solver_mode(SolverMode::kIncremental);
-    std::vector<SimTime> done(2, -1);
-    const FlowId capped = t.network.start_flow(
-        t.a, t.b, 1e7, 2e7, [&] { done[0] = t.sim.now(); });
-    const FlowId open = t.network.start_flow(
-        t.a, t.b, 1e8, kUnlimitedRate, [&] { done[1] = t.sim.now(); });
-    t.sim.run_until(250_ms);
-    if (reapply) {
+    t.network.set_solver_mode(mode);
+    Outcome out;
+    const auto finished = [&out, &t](int i) {
+      out.done[static_cast<std::size_t>(i)] = t.sim.now();
+      out.order.push_back(i);
+    };
+    FlowId open = kInvalidFlow;
+    if (reapply == Reapply::kAtCappedFlowsEnd) {
+      // Scheduled before the flows start, so it runs ahead of the capped
+      // flows' own completion checks at the same instant.
+      t.sim.at(500_ms, [&] {
+        const std::uint64_t solves = t.network.solver_stats().solves;
+        t.network.set_rate_cap(open, kUnlimitedRate);
+        EXPECT_EQ(t.network.solver_stats().solves, solves);
+      });
+    }
+    // Two flows started and cancelled first leave their slots free in
+    // reverse order, so the capped flows' ids run against their arrival
+    // order: the drain meets them by id, and only the merge's sort puts
+    // them back in the arrival order the oracle posts in.
+    const FlowId d0 = t.network.start_flow(t.a, t.b, 1e6, 2e7, nullptr);
+    const FlowId d1 = t.network.start_flow(t.a, t.b, 1e6, 2e7, nullptr);
+    t.network.cancel_flow(d0);
+    t.network.cancel_flow(d1);
+    const FlowId capped0 =
+        t.network.start_flow(t.a, t.b, 1e7, 2e7, [&] { finished(0); });
+    const FlowId capped1 =
+        t.network.start_flow(t.a, t.b, 1e7, 2e7, [&] { finished(1); });
+    EXPECT_GT(capped0, capped1);
+    open = t.network.start_flow(t.a, t.b, 1e8, kUnlimitedRate,
+                                [&] { finished(2); });
+    if (reapply == Reapply::kHalfWay) {
+      t.sim.run_until(250_ms);
       const std::uint64_t solves = t.network.solver_stats().solves;
-      const FlowInfo c = t.network.flow_info(capped);
-      const FlowInfo o = t.network.flow_info(open);
-      t.network.set_rate_cap(capped, 2e7);
-      t.network.set_rate_cap(open, kUnlimitedRate);
+      const std::vector<FlowId> flows{capped0, capped1, open};
+      const std::vector<double> caps{2e7, 2e7, kUnlimitedRate};
+      std::vector<FlowInfo> before;
+      for (const FlowId f : flows) before.push_back(t.network.flow_info(f));
+      for (std::size_t i = 0; i < flows.size(); ++i)
+        t.network.set_rate_cap(flows[i], caps[i]);
       EXPECT_EQ(t.network.solver_stats().solves, solves);
-      EXPECT_EQ(t.network.flow_info(capped).rate, c.rate);
-      EXPECT_EQ(t.network.flow_info(capped).achievable_rate,
-                c.achievable_rate);
-      EXPECT_EQ(t.network.flow_info(open).rate, o.rate);
-      EXPECT_EQ(t.network.flow_info(open).achievable_rate,
-                o.achievable_rate);
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        const FlowInfo after = t.network.flow_info(flows[i]);
+        EXPECT_EQ(after.rate, before[i].rate);
+        EXPECT_EQ(after.achievable_rate, before[i].achievable_rate);
+      }
     }
     t.sim.run();
-    return done;
+    out.events = t.sim.events_processed();
+    return out;
   };
-  const std::vector<SimTime> plain = run(false);
-  EXPECT_EQ(plain[0], 500_ms);  // 10 MB at its 20 MB/s cap
-  EXPECT_EQ(run(true), plain);
+  const Outcome plain = run(SolverMode::kIncremental, Reapply::kNone);
+  // 10 MB at a 20 MB/s cap each; the open flow moves 30 MB at 60 MB/s,
+  // then 70 MB at 100 MB/s.
+  EXPECT_EQ(plain.done, (std::vector<SimTime>{500_ms, 500_ms, 1200_ms}));
+  EXPECT_EQ(plain.order, (std::vector<int>{0, 1, 2}));
+  for (const Reapply reapply :
+       {Reapply::kNone, Reapply::kHalfWay, Reapply::kAtCappedFlowsEnd}) {
+    SCOPED_TRACE(static_cast<int>(reapply));
+    const Outcome inc = run(SolverMode::kIncremental, reapply);
+    const Outcome ora = run(SolverMode::kGlobalOracle, reapply);
+    EXPECT_EQ(inc.done, plain.done);
+    EXPECT_EQ(inc.order, plain.order);
+    EXPECT_EQ(ora.done, plain.done);
+    EXPECT_EQ(ora.order, plain.order);
+    EXPECT_EQ(inc.events, ora.events);
+  }
 
   // A cap that does change is solved.
   TwoHosts t(1e8);

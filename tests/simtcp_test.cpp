@@ -2,6 +2,11 @@
 // congestion dynamics, and the paper's headline throughput regimes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "simcore/simulation.hpp"
@@ -322,6 +327,84 @@ TEST_P(BufferSweep, ThroughputScalesWithWindowUntilLineRate) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BufferSweep,
                          ::testing::Values(32e3, 64e3, 128e3, 256e3, 512e3,
                                            1e6, 2e6, 4e6));
+
+// TCP on both max-min solvers. Four senders, each behind its own access
+// link, share one 1 GbE bottleneck to a receiver, so the four flows form
+// one component, and on a LAN path most ticks re-apply an unchanged cap
+// inside it: the incremental solver's no-solve path, its lazy settles and
+// its completion merge all run here through slow start, losses and
+// completions, with the global oracle as the specification.
+struct SharedBottleneckRun {
+  std::vector<std::pair<int, SimTime>> deliveries;  ///< (sender, ns), in order
+  std::vector<int> losses;                          ///< per channel
+  std::uint64_t events = 0;
+  std::uint64_t solves = 0;  ///< incremental solver only
+};
+
+SharedBottleneckRun run_shared_bottleneck(net::SolverMode mode,
+                                          SimTime one_way, double queue) {
+  Simulation sim;
+  net::Network network(sim);
+  network.set_solver_mode(mode);
+  const HostId receiver = network.add_host("r");
+  const auto bottleneck =
+      network.add_link("bottleneck", ethernet_goodput(1e9), one_way, queue);
+  const KernelTunables k = KernelTunables::grid_tuned();
+  std::vector<std::unique_ptr<TcpChannel>> channels;
+  for (int i = 0; i < 4; ++i) {
+    const HostId h = network.add_host("s" + std::to_string(i));
+    const auto access = network.add_link("access" + std::to_string(i),
+                                         ethernet_goodput(1e9), 10_us, 1e6);
+    network.add_route(h, receiver, {access, bottleneck});
+    channels.push_back(std::make_unique<TcpChannel>(network, h, receiver, k,
+                                                    k, SocketOptions{}));
+  }
+  SharedBottleneckRun out;
+  const std::vector<double> mix{1e3, 8e3, 64e3, 512e3, 4e6, 32e6};
+  for (int i = 0; i < 4; ++i) {
+    // Staggered starts; each sender rotates the mix so that small and
+    // large transfers overlap.
+    sim.at(i * 3_ms, [&, i] {
+      for (std::size_t m = 0; m < mix.size(); ++m)
+        channels[static_cast<std::size_t>(i)]->send(
+            mix[(m + static_cast<std::size_t>(i)) % mix.size()], nullptr,
+            [&out, &sim, i] { out.deliveries.emplace_back(i, sim.now()); });
+    });
+  }
+  sim.run_until(120_s);
+  for (const auto& ch : channels) out.losses.push_back(ch->loss_events());
+  out.events = sim.events_processed();
+  out.solves = network.solver_stats().solves;
+  return out;
+}
+
+class SharedBottleneckOracle
+    : public ::testing::TestWithParam<std::tuple<SimTime, double>> {};
+
+TEST_P(SharedBottleneckOracle, IncrementalSolverMatchesTheOracle) {
+  const auto [one_way, queue] = GetParam();
+  const SharedBottleneckRun inc =
+      run_shared_bottleneck(net::SolverMode::kIncremental, one_way, queue);
+  const SharedBottleneckRun ora =
+      run_shared_bottleneck(net::SolverMode::kGlobalOracle, one_way, queue);
+  ASSERT_EQ(inc.deliveries.size(), 24u);
+  EXPECT_EQ(inc.deliveries, ora.deliveries);
+  EXPECT_EQ(inc.losses, ora.losses);
+  EXPECT_EQ(inc.events, ora.events);
+  // Every sender must congest the bottleneck. On the LAN path the windows
+  // soon cover the BDP, so nearly every tick re-applies an unlimited cap
+  // and solves nothing (55k events, 68 solves); on the WAN path the four
+  // windows share the BDP, and nearly every tick moves a window-bound cap.
+  for (int l : inc.losses) EXPECT_GT(l, 0);
+  if (one_way < 1_ms) {
+    EXPECT_LT(inc.solves * 100, inc.events);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LatencyAndQueue, SharedBottleneckOracle,
+    ::testing::Combine(::testing::Values(35_us, 5800_us),
+                       ::testing::Values(1e6, 128e3)));
 
 }  // namespace
 }  // namespace gridsim::tcp
