@@ -22,6 +22,8 @@ class Ring {
   T& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
   /// Precondition: !empty().
   T& front() { return buf_[head_]; }
+  /// Precondition: !empty().
+  T& back() { return (*this)[size_ - 1]; }
 
   void push_back(T value) {
     if (size_ == buf_.size()) grow();

@@ -78,8 +78,12 @@ class Simulation {
   /// reaches the current timestamp; it is destroyed when it completes.
   void spawn(Task<void> task);
 
-  /// Runs until every spawned process has completed (or no process was ever
-  /// spawned and the queue drains). Returns the final virtual time.
+  /// Runs every queued event, including the timers left pending after the
+  /// last spawned process completed (superseded TCP ticks, stale flow
+  /// completion checks), until the queue is empty. Returns the time of the
+  /// last event run, which can be later than the last process's finish;
+  /// CAMPAIGN.json's `final_time_ns` and the campaign digest's end-time
+  /// fold both read it.
   ///
   /// If the queue drains while processes are still suspended, registered
   /// idle hooks run in registration order; a hook returning true claims to

@@ -3,7 +3,9 @@
 // global-resolve oracle — through identical seeded churn schedules (flow
 // arrivals/departures, cap changes, re-applied unchanged caps, for which
 // the incremental solver settles and reschedules only the re-capped flow
-// and solves nothing, link-capacity changes, time advances).
+// and solves nothing, link-capacity changes, time advances, and "twin"
+// flows that finish in the same nanosecond with ops queued at that
+// instant, which reach the post-solve scheduling of due and done flows).
 // After every step the two must agree EXACTLY (bitwise doubles, not within
 // a tolerance): same active flows, same completions in the same order at
 // the same nanosecond, same rates, same remaining bytes, same link
@@ -136,15 +138,28 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
     return *it;
   };
 
-  const int ops = 150;
-  int same_cap_ops = 0;
-  for (int op = 0; op < ops; ++op) {
-    // Advance virtual time (0 keeps same-timestamp mutation bursts in the
-    // mix); completion events for both networks fire inside run_until.
-    if (rng() % 4 != 0)
-      sim.run_until(sim.now() + static_cast<SimTime>(rng() % 20000) * 1_us);
+  // Starts the same flow on both networks; `op` tags its completion.
+  const auto start_both = [&](int i, int j, double bytes, double cap,
+                              int op) {
+    const FlowId fi = inc.net.start_flow(i, j, bytes, cap, [&inc, &sim, op] {
+      inc.completions.emplace_back(sim.now(), op);
+    });
+    const FlowId fo = ora.net.start_flow(i, j, bytes, cap, [&ora, &sim, op] {
+      ora.completions.emplace_back(sim.now(), op);
+    });
+    EXPECT_EQ(fi, fo);
+    inc.active.insert(fi);
+    ora.active.insert(fo);
+    flow_links[fi] = inc.net.route(i, j).links;
+    flow_caps[fi] = cap;
+    return fi;
+  };
 
-    const auto kind = static_cast<unsigned>(rng() % 100);
+  int same_cap_ops = 0;
+  // One mutation, applied to both networks; `op` tags the completions of
+  // the flows it starts. Runs from the test loop or, queued by a twin op,
+  // as an event at the instant the twins finish.
+  const auto random_op = [&](int op, unsigned kind) {
     if (kind < 45 || inc.active.empty()) {
       // Start the same flow on both networks.
       const int i = static_cast<int>(rng() % static_cast<unsigned>(hosts));
@@ -154,17 +169,7 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       const double bytes = std::pow(10.0, mag(rng));
       const double cap =
           (rng() % 2 == 0) ? kUnlimitedRate : 1e6 * static_cast<double>(1 + rng() % 1000);
-      const FlowId fi = inc.net.start_flow(i, j, bytes, cap, [&inc, &sim, op] {
-        inc.completions.emplace_back(sim.now(), op);
-      });
-      const FlowId fo = ora.net.start_flow(i, j, bytes, cap, [&ora, &sim, op] {
-        ora.completions.emplace_back(sim.now(), op);
-      });
-      ASSERT_EQ(fi, fo);
-      inc.active.insert(fi);
-      ora.active.insert(fo);
-      flow_links[fi] = inc.net.route(i, j).links;
-      flow_caps[fi] = cap;
+      start_both(i, j, bytes, cap, op);
     } else if (kind < 60) {
       const FlowId f = pick_active();
       const double cap =
@@ -200,6 +205,76 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       inc.net.set_link_capacity(l, cap);
       ora.net.set_link_capacity(l, cap);
     }
+  };
+
+  // Starts 2-3 flows with equal bytes and an equal cap far below any fair
+  // share, on one route or on routes that share no link (distinct hosts and
+  // backbones), so that they finish in the same nanosecond, and queues a
+  // random op at that instant, predicted from flow_info. That op's event
+  // comes after the twins' completion checks, so it mutates while a twin's
+  // finish is posted and still pending. Another op, queued before the
+  // twins start at the instant their cap alone predicts, runs ahead of the
+  // checks, while the twins are due but unfinished. Either way the eta
+  // drain must find twins outside the mutated component, and they must be
+  // posted in arrival order: a completion moved by a nanosecond or swapped
+  // with a twin's shows in the completion logs.
+  int twin_ops = 0;
+  const auto twin_op = [&](int op) {
+    const auto count = static_cast<std::size_t>(2 + rng() % 2);
+    std::vector<std::pair<int, int>> routes;
+    if (rng() % 2 == 0) {
+      std::vector<bool> host_used(static_cast<std::size_t>(hosts));
+      std::vector<bool> bb_used(static_cast<std::size_t>(backbones));
+      const int pairs = hosts * hosts;
+      const int first = static_cast<int>(rng() % static_cast<unsigned>(pairs));
+      for (int k = 0; k < pairs && routes.size() < count; ++k) {
+        const int i = (first + k) % pairs / hosts;
+        const int j = (first + k) % pairs % hosts;
+        const auto b = static_cast<std::size_t>((i + j) % backbones);
+        if (i == j || host_used[static_cast<std::size_t>(i)] ||
+            host_used[static_cast<std::size_t>(j)] || bb_used[b])
+          continue;
+        host_used[static_cast<std::size_t>(i)] = true;
+        host_used[static_cast<std::size_t>(j)] = true;
+        bb_used[b] = true;
+        routes.emplace_back(i, j);
+      }
+    }
+    if (routes.size() < 2) {
+      const int i = static_cast<int>(rng() % static_cast<unsigned>(hosts));
+      const int j = (i + 1 + static_cast<int>(rng() % static_cast<unsigned>(
+                                 hosts - 1))) % hosts;
+      routes.assign(count, {i, j});
+    }
+    const double cap = 1e5 * static_cast<double>(1 + rng() % 20);
+    const double bytes =
+        cap * 1e-3 * static_cast<double>(1 + rng() % 20);  // 1-20 ms
+    const auto ahead_kind = static_cast<unsigned>(rng() % 100);
+    sim.at(sim.now() + from_seconds(bytes / cap),
+           [&random_op, op, ahead_kind] { random_op(op, ahead_kind); });
+    SimTime due = kSimTimeNever;
+    for (const auto& [i, j] : routes) {
+      const FlowInfo info = inc.net.flow_info(start_both(i, j, bytes, cap, op));
+      due = std::min(due, sim.now() + from_seconds(info.remaining / info.rate));
+    }
+    const auto kind = static_cast<unsigned>(rng() % 100);
+    sim.at(due, [&random_op, op, kind] { random_op(op, kind); });
+    ++twin_ops;
+  };
+
+  const int ops = 150;
+  for (int op = 0; op < ops; ++op) {
+    // Advance virtual time (0 keeps same-timestamp mutation bursts in the
+    // mix); completion events for both networks fire inside run_until.
+    if (rng() % 4 != 0)
+      sim.run_until(sim.now() + static_cast<SimTime>(rng() % 20000) * 1_us);
+
+    if (rng() % 8 == 0) {
+      twin_op(op);
+    } else {
+      random_op(op, static_cast<unsigned>(rng() % 100));
+    }
+    if (HasFatalFailure()) return;
 
     // Both networks must have finished the same flows at the same instants
     // and in the same order. A 1 ns shift, or two completions swapped
@@ -236,6 +311,7 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
   EXPECT_EQ(inc.net.active_flow_count(), 0);
   EXPECT_EQ(ora.net.active_flow_count(), 0);
   EXPECT_GT(same_cap_ops, 0) << "seed=" << seed;
+  EXPECT_GT(twin_ops, 0) << "seed=" << seed;
   EXPECT_FALSE(inc.completions.empty()) << "seed=" << seed;
 }
 

@@ -72,23 +72,25 @@ TEST(EventQueue, NextTime) {
 }
 
 // Drives random at/after/post calls and records what the engine runs. Each
-// call lands at the current instant or a few ns ahead, so most events share
-// a timestamp with others that sit in the heap, in the same-time lane, or
-// in both; callbacks schedule more events, and the test loop schedules
-// from outside between run_until() slices (where now() can be ahead of the
-// last executed event). The reference is a plain count and a sort.
+// call lands `draw_offset()` ns after now(); callbacks schedule more events,
+// and the test loop schedules from outside between run_until() slices
+// (where now() can be ahead of the last executed event, so a call's delay
+// from the queue's floor differs from its offset). The reference is a
+// plain count and a sort.
 class OrderModel {
  public:
-  OrderModel(Simulation& sim, std::uint64_t seed, int budget)
-      : sim_(sim), rng_(seed), budget_(budget) {}
+  using OffsetDraw = SimTime (*)(Rng&);
+
+  OrderModel(Simulation& sim, std::uint64_t seed, int budget,
+             OffsetDraw draw_offset)
+      : sim_(sim), rng_(seed), budget_(budget), draw_offset_(draw_offset) {}
 
   int scheduled() const { return static_cast<int>(scheduled_.size()); }
 
   void schedule_some(int max_count) {
     const auto n = rng_.uniform_int(0, max_count);
     for (std::int64_t i = 0; i < n && scheduled() < budget_; ++i) {
-      static constexpr SimTime kOffsets[] = {0, 0, 0, 1, 2, 7};
-      const SimTime dt = kOffsets[rng_.uniform_int(0, 5)];
+      const SimTime dt = draw_offset_(rng_);
       const int id = scheduled();
       scheduled_.emplace_back(sim_.now() + dt, id);
       Callback run = [this, id] { on_run(id); };
@@ -132,28 +134,59 @@ class OrderModel {
   Simulation& sim_;
   Rng rng_;
   int budget_;
+  OffsetDraw draw_offset_;
   std::vector<std::pair<SimTime, int>> scheduled_;  // (time, insertion index)
   std::vector<std::pair<SimTime, int>> ran_;
   std::size_t peak_ = 0;
   int depth_mismatches_ = 0;
 };
 
-TEST(EventQueue, SameTimeLaneKeepsTimeThenInsertionOrder) {
+// Runs 16 seeded OrderModel schedules to the end, the test loop advancing
+// the clock by 0 to `max_slice` ns between its own calls.
+void check_order_model(OrderModel::OffsetDraw draw_offset, SimTime max_slice) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Simulation sim;
-    OrderModel model(sim, seed, 4000);
+    OrderModel model(sim, seed, 4000, draw_offset);
     Rng slices(seed + 1000);
     SimTime horizon = 0;
     while (model.scheduled() < 4000 && horizon < 100'000) {
       model.schedule_some(4);
-      horizon += slices.uniform_int(0, 3);
+      horizon += slices.uniform_int(0, max_slice);
       sim.run_until(horizon);
     }
     sim.run();
     EXPECT_EQ(sim.queue_depth(), 0u);
     model.check();
   }
+}
+
+// The current instant or a few ns ahead, so most events share a timestamp
+// with others that sit in the heap, in the same-time lane, or in both.
+SimTime near_offset(Rng& rng) {
+  static constexpr SimTime kOffsets[] = {0, 0, 0, 1, 2, 7};
+  return kOffsets[rng.uniform_int(0, 5)];
+}
+
+TEST(EventQueue, SameTimeLaneKeepsTimeThenInsertionOrder) {
+  check_order_model(near_offset, 3);
+}
+
+// Fifteen recurring delays with skewed weights — more than the queue has
+// lanes, so lanes fill, drain and are rebound while others still hold keys,
+// and some keys find no lane — plus same-time posts and rare one-off
+// delays. Delays that are multiples of one another make keys of different
+// lanes, and of the heap, meet at one timestamp.
+SimTime recurring_offset(Rng& rng) {
+  static constexpr SimTime kOffsets[] = {
+      0, 0, 0, 0,  70, 70, 70, 70, 70, 70, 70, 35, 35, 35, 35, 5,
+      5, 5, 1, 10, 10, 2,  3,  7,  14, 20, 40, 45, 90, 140, 280, 70};
+  if (rng.uniform_int(0, 63) == 0) return rng.uniform_int(1, 5000);
+  return kOffsets[rng.uniform_int(0, 31)];
+}
+
+TEST(EventQueue, DelayLanesKeepTimeThenInsertionOrder) {
+  check_order_model(recurring_offset, 40);
 }
 
 TEST(Simulation, NowAdvancesWithEvents) {
@@ -197,6 +230,25 @@ TEST(Simulation, RunUntilAPastTimeThrowsAndKeepsTheClock) {
   sim.after(1_ms, [&] { fired = sim.now(); });
   sim.run();
   EXPECT_EQ(fired, 3_ms);
+}
+
+TEST(Simulation, RunDrainsTimersLeftAfterTheLastProcess) {
+  // run() does not stop when the last process ends: a timer still pending
+  // (a superseded TCP tick, say) runs too and sets the returned end time.
+  Simulation sim;
+  SimTime ended = -1;
+  sim.spawn([](Simulation& s, SimTime* end) -> Task<void> {
+    co_await s.delay(10);
+    *end = s.now();
+  }(sim, &ended));
+  int fired = 0;
+  sim.at(100, [&] { ++fired; });
+  EXPECT_EQ(sim.run(), 100);
+  EXPECT_EQ(ended, 10);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.live_processes(), 0);
+  // The process's start and its wake-up at 10 ns, then the timer.
+  EXPECT_EQ(sim.events_processed(), 3u);
 }
 
 TEST(Simulation, EventsCanScheduleEvents) {
