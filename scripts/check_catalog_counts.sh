@@ -26,7 +26,7 @@ fi
 
 # Docs that state the catalog size. Each must contain at least one
 # "<N> scenarios" phrase, and every such phrase must match the catalog.
-DOCS=(docs/architecture.md docs/usage.md)
+DOCS=(README.md docs/architecture.md docs/usage.md)
 
 STATUS=0
 for doc in "${DOCS[@]}"; do

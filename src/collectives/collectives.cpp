@@ -6,6 +6,7 @@
 #include "collectives/algorithms.hpp"
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
+#include "simcore/check.hpp"
 
 namespace gridsim::coll {
 
@@ -14,11 +15,18 @@ namespace {
 using mpi::CollOp;
 using mpi::Rank;
 
-/// Sites are only counted when a custom rule actually discriminates on
-/// topology — the default tables never do, so the historic hot path stays
-/// free of the O(p) site scan.
-int sites_for(Rank& r, const mpi::CollectiveSuite& suite, CollOp op) {
-  return Selector::needs_sites(suite, op) ? site_count(r.job()) : 1;
+/// The job's collective decision table.
+const mpi::CollRules& table_of(Rank& r) {
+  const mpi::CollTable& table = r.job().profile().collectives;
+  GRIDSIM_DCHECK(table != nullptr, "profile has no collective table");
+  return *table;
+}
+
+/// Sites are only counted when a rule actually discriminates on topology —
+/// the shipped tables never do, so their calls stay free of the O(p) site
+/// scan.
+int sites_for(Rank& r, const mpi::CollRules& rules, CollOp op) {
+  return Selector::needs_sites(rules, op) ? site_count(r.job()) : 1;
 }
 
 [[noreturn]] void unknown_algorithm(const char* op, const std::string& name) {
@@ -39,9 +47,9 @@ Task<void> barrier(Rank& r) {
   const int p = r.size();
   const int tag = r.next_collective_tag();
   if (p <= 1) co_return;
-  const auto& suite = r.job().profile().collectives;
+  const mpi::CollRules& rules = table_of(r);
   const mpi::CollRule& rule = Selector::pick(
-      suite, CollOp::kBarrier, 0, p, sites_for(r, suite, CollOp::kBarrier));
+      rules, CollOp::kBarrier, 0, p, sites_for(r, rules, CollOp::kBarrier));
   const BarrierAlgorithm* a =
       AlgorithmRegistry::instance().find_barrier(rule.algo);
   if (a == nullptr) unknown_algorithm("barrier", rule.algo);
@@ -50,11 +58,11 @@ Task<void> barrier(Rank& r) {
 
 Task<void> bcast(Rank& r, int root, double bytes) {
   const int tag = r.next_collective_tag();
-  const auto& suite = r.job().profile().collectives;
+  const mpi::CollRules& rules = table_of(r);
   if (r.size() <= 1) co_return;
   const mpi::CollRule& rule =
-      Selector::pick(suite, CollOp::kBcast, bytes, r.size(),
-                     sites_for(r, suite, CollOp::kBcast));
+      Selector::pick(rules, CollOp::kBcast, bytes, r.size(),
+                     sites_for(r, rules, CollOp::kBcast));
   const BcastAlgorithm* a = AlgorithmRegistry::instance().find_bcast(rule.algo);
   if (a == nullptr) unknown_algorithm("bcast", rule.algo);
   co_await a->run(r, root, bytes, tag);
@@ -68,11 +76,11 @@ Task<void> reduce(Rank& r, int root, double bytes) {
 
 Task<void> allreduce(Rank& r, double bytes) {
   const int tag = r.next_collective_tag();
-  const auto& suite = r.job().profile().collectives;
+  const mpi::CollRules& rules = table_of(r);
   if (r.size() <= 1) co_return;
   const mpi::CollRule& rule =
-      Selector::pick(suite, CollOp::kAllreduce, bytes, r.size(),
-                     sites_for(r, suite, CollOp::kAllreduce));
+      Selector::pick(rules, CollOp::kAllreduce, bytes, r.size(),
+                     sites_for(r, rules, CollOp::kAllreduce));
   const AllreduceAlgorithm* a =
       AlgorithmRegistry::instance().find_allreduce(rule.algo);
   if (a == nullptr) unknown_algorithm("allreduce", rule.algo);
@@ -130,13 +138,13 @@ Task<void> alltoallv(Rank& r, const std::vector<double>& send_bytes) {
   if (static_cast<int>(send_bytes.size()) != p)
     throw std::invalid_argument("alltoallv: send_bytes.size() != size()");
   if (p <= 1) co_return;
-  const auto& suite = r.job().profile().collectives;
+  const mpi::CollRules& rules = table_of(r);
   // The size a rule matches on is the caller's total send volume.
   double total = 0;
   for (double b : send_bytes) total += b;
   const mpi::CollRule& rule =
-      Selector::pick(suite, CollOp::kAlltoall, total, p,
-                     sites_for(r, suite, CollOp::kAlltoall));
+      Selector::pick(rules, CollOp::kAlltoall, total, p,
+                     sites_for(r, rules, CollOp::kAlltoall));
   const AlltoallAlgorithm* a =
       AlgorithmRegistry::instance().find_alltoall(rule.algo);
   if (a == nullptr) unknown_algorithm("alltoall", rule.algo);

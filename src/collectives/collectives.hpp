@@ -9,16 +9,16 @@
 //    named, introspectable entry (binomial, scatter-ring/van de Geijn,
 //    pipeline, hierarchical, recursive-doubling, rabenseifner, ...).
 //  * `Selector` (selector.hpp) — picks the entry per (operation, message
-//    size, communicator size, topology shape) from the profile's
-//    declarative rules, falling back to default tables derived from the
-//    profile's `CollectiveSuite` enums:
-//      - WAN-oblivious defaults (MPICH2/OpenMPI-style): binomial trees for
+//    size, communicator size, topology shape) from the profile's decision
+//    table (`ImplProfile::collectives`, first match wins):
+//      - WAN-oblivious tables (MPICH2/OpenMPI-style): binomial trees for
 //        small messages, scatter + rank-ordered ring allgather for large
 //        broadcasts — the ring crosses the WAN once per step, which is the
 //        paper's explanation for poor FT performance on the grid.
-//      - GridMPI (topology-aware): hierarchical algorithms that cross the
-//        WAN once, using one simultaneous stream per node pair ("multiple
-//        node-to-node connections", Matsuda et al. Cluster'06).
+//      - GridMPI and MPICH-G2 (topology-aware): hierarchical algorithms
+//        that cross the WAN once, using one simultaneous stream per node
+//        pair ("multiple node-to-node connections", Matsuda et al.
+//        Cluster'06).
 //  * guideline verification (guidelines.hpp) — `gridsim coll --verify`
 //    sweeps profile x size x topology and flags self-contradictory
 //    selections (e.g. Allreduce slower than Reduce+Bcast).

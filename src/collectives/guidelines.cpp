@@ -93,10 +93,10 @@ SizeTimes measure_size(const topo::GridSpec& spec,
 /// The algorithm the selector would choose, for the cell's detail string.
 /// `nsites` comes from the deployment spec (block placement fills sites in
 /// order, so 16 ranks over these catalog specs reach every site).
-std::string chosen(const mpi::CollectiveSuite& suite, CollOp op, double bytes,
+std::string chosen(const mpi::CollRules& table, CollOp op, double bytes,
                    int nranks, int nsites) {
   return std::string(to_string(op)) + "=" +
-         Selector::pick(suite, op, bytes, nranks, nsites).algo;
+         Selector::pick(table, op, bytes, nranks, nsites).algo;
 }
 
 }  // namespace
@@ -127,7 +127,7 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
     report.cells.push_back(std::move(c));
   };
 
-  const auto& suite = profile.collectives;
+  const mpi::CollRules& table = *profile.collectives;
   std::vector<SizeTimes> times;
   times.reserve(opt.sizes.size());
   for (double bytes : opt.sizes)
@@ -139,10 +139,10 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
     const SizeTimes& t = times[i];
     add("allreduce<=reduce+bcast", bytes, t.allreduce, t.reduce_then_bcast,
         ctol,
-        chosen(suite, CollOp::kAllreduce, bytes, opt.nranks, nsites) + ", " +
-            chosen(suite, CollOp::kBcast, bytes, opt.nranks, nsites));
+        chosen(table, CollOp::kAllreduce, bytes, opt.nranks, nsites) + ", " +
+            chosen(table, CollOp::kBcast, bytes, opt.nranks, nsites));
     add("bcast<=scatter+allgather", bytes, t.bcast, t.scatter_then_allgather,
-        ctol, chosen(suite, CollOp::kBcast, bytes, opt.nranks, nsites));
+        ctol, chosen(table, CollOp::kBcast, bytes, opt.nranks, nsites));
     add("reduce_scatter<=reduce+scatter", bytes, t.reduce_scatter,
         t.reduce_then_scatter, ctol, "reduce_scatter=recursive-halving");
   }
@@ -152,13 +152,13 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
     const double small = opt.sizes[i];
     const double large = opt.sizes[i + 1];
     add("monotone-bcast", small, times[i].bcast, times[i + 1].bcast, mtol,
-        chosen(suite, CollOp::kBcast, small, opt.nranks, nsites) + " vs " +
-            chosen(suite, CollOp::kBcast, large, opt.nranks, nsites));
+        chosen(table, CollOp::kBcast, small, opt.nranks, nsites) + " vs " +
+            chosen(table, CollOp::kBcast, large, opt.nranks, nsites));
     add("monotone-allreduce", small, times[i].allreduce,
         times[i + 1].allreduce, mtol,
-        chosen(suite, CollOp::kAllreduce, small, opt.nranks, nsites) +
+        chosen(table, CollOp::kAllreduce, small, opt.nranks, nsites) +
             " vs " +
-            chosen(suite, CollOp::kAllreduce, large, opt.nranks, nsites));
+            chosen(table, CollOp::kAllreduce, large, opt.nranks, nsites));
   }
   return report;
 }

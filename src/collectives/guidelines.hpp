@@ -54,7 +54,7 @@ constexpr double kMonotoneTolerance = 1.25;
 
 struct GuidelineOptions {
   /// Probe payload sizes (bytes), ascending. Spans both sides of every
-  /// default cutoff (12 kB bcast, 2 kB allreduce).
+  /// cutoff in the shipped tables (12 kB bcast, 2 kB allreduce).
   std::vector<double> sizes = {1e3, 64e3, 1e6};
   int nranks = 16;
   /// Interleave ranks across sites (mpi::cyclic_placement) instead of the

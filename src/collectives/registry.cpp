@@ -11,17 +11,9 @@ namespace {
 template <typename Entry>
 const Entry* find_in(const std::vector<Entry>& entries,
                      std::string_view name) {
-  for (const Entry& e : entries) {
+  for (const Entry& e : entries)
     if (e.name == name) return &e;
-    for (const std::string& alias : e.aliases)
-      if (alias == name) return &e;
-  }
   return nullptr;
-}
-
-[[noreturn]] void unknown(const char* op, std::string_view name) {
-  throw std::invalid_argument(std::string(op) + ": unknown algorithm '" +
-                              std::string(name) + "'");
 }
 
 }  // namespace
@@ -29,25 +21,21 @@ const Entry* find_in(const std::vector<Entry>& entries,
 AlgorithmRegistry::AlgorithmRegistry() {
   bcast_ = {
       {"binomial",
-       {},
        "log2(p) tree; WAN-oblivious but only one WAN crossing per subtree "
        "edge",
        false,
        &algo::bcast_binomial},
       {"scatter-ring",
-       {"vandegeijn"},
        "van de Geijn: binomial scatter + rank-ordered ring allgather; the "
        "ring crosses the WAN ~every step",
        false,
        &algo::bcast_scatter_ring},
       {"hierarchical",
-       {},
        "per-site scatter, parallel node-to-node WAN streams, intra-site "
        "ring reassembly (GridMPI)",
        true,
        &algo::bcast_hierarchical},
       {"pipeline",
-       {},
        "segmented chain in rank order; crosses the WAN once on block "
        "placement",
        false,
@@ -55,18 +43,15 @@ AlgorithmRegistry::AlgorithmRegistry() {
   };
   allreduce_ = {
       {"recursive-doubling",
-       {},
        "log2(p) pairwise exchange rounds at full message size",
        false,
        &algo::allreduce_recursive_doubling},
       {"rabenseifner",
-       {},
        "reduce-scatter by recursive halving + allgather by recursive "
        "doubling",
        false,
        &algo::allreduce_rabenseifner},
       {"hierarchical",
-       {},
        "per-site reduce, site-leader exchange across the WAN, per-site "
        "bcast (GridMPI)",
        true,
@@ -74,29 +59,24 @@ AlgorithmRegistry::AlgorithmRegistry() {
   };
   alltoall_ = {
       {"pairwise",
-       {},
        "p-1 steps; step s pairs me with me+s (send) and me-s (recv)",
        false,
        &algo::alltoallv_pairwise},
       {"ring",
-       {},
        "neighbour-only relaying, blocks forwarded hop by hop",
        false,
        &algo::alltoallv_ring},
       {"bruck",
-       {},
        "log2(p) rounds of aggregated blocks; wins for tiny payloads",
        false,
        &algo::alltoallv_bruck},
   };
   barrier_ = {
       {"dissemination",
-       {},
        "log2(p) rounds, every rank active each round",
        false,
        &algo::barrier_dissemination},
       {"tree",
-       {},
        "binomial reduce + binomial broadcast of a token",
        false,
        &algo::barrier_tree},
@@ -143,85 +123,6 @@ std::vector<std::string> AlgorithmRegistry::names(
     throw std::invalid_argument("names: unknown operation '" + op + "'");
   }
   return out;
-}
-
-// --- enum <-> name bridge --------------------------------------------------
-
-std::string_view name_of(mpi::BcastAlgo algo) {
-  switch (algo) {
-    case mpi::BcastAlgo::kBinomial:
-      return "binomial";
-    case mpi::BcastAlgo::kVanDeGeijn:
-      return "vandegeijn";
-    case mpi::BcastAlgo::kHierarchical:
-      return "hierarchical";
-    case mpi::BcastAlgo::kPipeline:
-      return "pipeline";
-  }
-  return "?";
-}
-
-std::string_view name_of(mpi::AllreduceAlgo algo) {
-  switch (algo) {
-    case mpi::AllreduceAlgo::kRecursiveDoubling:
-      return "recursive-doubling";
-    case mpi::AllreduceAlgo::kRabenseifner:
-      return "rabenseifner";
-    case mpi::AllreduceAlgo::kHierarchical:
-      return "hierarchical";
-  }
-  return "?";
-}
-
-std::string_view name_of(mpi::AlltoallAlgo algo) {
-  switch (algo) {
-    case mpi::AlltoallAlgo::kPairwise:
-      return "pairwise";
-    case mpi::AlltoallAlgo::kRing:
-      return "ring";
-    case mpi::AlltoallAlgo::kBruck:
-      return "bruck";
-  }
-  return "?";
-}
-
-std::string_view name_of(mpi::BarrierAlgo algo) {
-  switch (algo) {
-    case mpi::BarrierAlgo::kDissemination:
-      return "dissemination";
-    case mpi::BarrierAlgo::kTree:
-      return "tree";
-  }
-  return "?";
-}
-
-mpi::BcastAlgo bcast_policy_by_name(std::string_view name) {
-  if (name == "binomial") return mpi::BcastAlgo::kBinomial;
-  if (name == "vandegeijn" || name == "scatter-ring")
-    return mpi::BcastAlgo::kVanDeGeijn;
-  if (name == "hierarchical") return mpi::BcastAlgo::kHierarchical;
-  if (name == "pipeline") return mpi::BcastAlgo::kPipeline;
-  unknown("bcast", name);
-}
-
-mpi::AllreduceAlgo allreduce_policy_by_name(std::string_view name) {
-  if (name == "recursive-doubling") return mpi::AllreduceAlgo::kRecursiveDoubling;
-  if (name == "rabenseifner") return mpi::AllreduceAlgo::kRabenseifner;
-  if (name == "hierarchical") return mpi::AllreduceAlgo::kHierarchical;
-  unknown("allreduce", name);
-}
-
-mpi::AlltoallAlgo alltoall_policy_by_name(std::string_view name) {
-  if (name == "pairwise") return mpi::AlltoallAlgo::kPairwise;
-  if (name == "ring") return mpi::AlltoallAlgo::kRing;
-  if (name == "bruck") return mpi::AlltoallAlgo::kBruck;
-  unknown("alltoall", name);
-}
-
-mpi::BarrierAlgo barrier_policy_by_name(std::string_view name) {
-  if (name == "dissemination") return mpi::BarrierAlgo::kDissemination;
-  if (name == "tree") return mpi::BarrierAlgo::kTree;
-  unknown("barrier", name);
 }
 
 }  // namespace gridsim::coll

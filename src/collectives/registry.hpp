@@ -3,16 +3,14 @@
 //
 // Entries are typed per operation (a bcast algorithm and an allreduce
 // algorithm have different signatures) and carry the metadata the selector
-// and the `gridsim coll --list` table need: a canonical name, optional
-// aliases, a one-line description and whether the algorithm is WAN-aware
-// (splits the communicator by site). The registry is immutable and
-// process-wide — the algorithm set is the layer's API surface, pinned by
-// tests/coll_registry_test.cpp.
+// and the `gridsim coll --list` table need: a name, a one-line description
+// and whether the algorithm is WAN-aware (splits the communicator by site).
+// The registry is immutable and process-wide — the algorithm set is the
+// layer's API surface, pinned by tests/coll_registry_test.cpp.
 //
-// Names are what selector rules (mpi/coll_rules.hpp) and the fluent
-// builder knobs (`profiles::experiment().bcast_algo("hierarchical")`)
-// speak; the legacy `CollectiveSuite` enums are thin aliases resolved
-// through `name_of` / `*_policy_by_name` below.
+// Names are what the rules of a profile's decision table
+// (mpi/coll_rules.hpp) speak; collectives.cpp resolves each picked rule's
+// name here and throws std::invalid_argument on a name no entry has.
 #pragma once
 
 #include <string>
@@ -20,14 +18,12 @@
 #include <vector>
 
 #include "mpi/mpi.hpp"
-#include "mpi/profile.hpp"
 #include "simcore/task.hpp"
 
 namespace gridsim::coll {
 
 struct BcastAlgorithm {
   std::string name;
-  std::vector<std::string> aliases;
   std::string description;
   bool wan_aware = false;
   Task<void> (*run)(mpi::Rank&, int root, double bytes, int tag) = nullptr;
@@ -35,7 +31,6 @@ struct BcastAlgorithm {
 
 struct AllreduceAlgorithm {
   std::string name;
-  std::vector<std::string> aliases;
   std::string description;
   bool wan_aware = false;
   Task<void> (*run)(mpi::Rank&, double bytes, int tag) = nullptr;
@@ -43,7 +38,6 @@ struct AllreduceAlgorithm {
 
 struct AlltoallAlgorithm {
   std::string name;
-  std::vector<std::string> aliases;
   std::string description;
   bool wan_aware = false;
   Task<void> (*run)(mpi::Rank&, const std::vector<double>& send_bytes,
@@ -52,7 +46,6 @@ struct AlltoallAlgorithm {
 
 struct BarrierAlgorithm {
   std::string name;
-  std::vector<std::string> aliases;
   std::string description;
   bool wan_aware = false;
   Task<void> (*run)(mpi::Rank&, int tag) = nullptr;
@@ -70,13 +63,13 @@ class AlgorithmRegistry {
   const std::vector<AlltoallAlgorithm>& alltoall() const { return alltoall_; }
   const std::vector<BarrierAlgorithm>& barrier() const { return barrier_; }
 
-  /// Lookup by canonical name or alias; nullptr if absent.
+  /// Lookup by name; nullptr if absent.
   const BcastAlgorithm* find_bcast(std::string_view name) const;
   const AllreduceAlgorithm* find_allreduce(std::string_view name) const;
   const AlltoallAlgorithm* find_alltoall(std::string_view name) const;
   const BarrierAlgorithm* find_barrier(std::string_view name) const;
 
-  /// Canonical names of every registered algorithm for one operation
+  /// Names of every registered algorithm for one operation
   /// ("bcast", "allreduce", "alltoall", "barrier"); throws on an unknown
   /// operation. Test parameterisation iterates these instead of hardcoding.
   std::vector<std::string> names(const std::string& op) const;
@@ -88,24 +81,5 @@ class AlgorithmRegistry {
   std::vector<AlltoallAlgorithm> alltoall_;
   std::vector<BarrierAlgorithm> barrier_;
 };
-
-// --- enum <-> name bridge --------------------------------------------------
-//
-// Each `CollectiveSuite` enum value names a *policy*: the registered
-// algorithm it reaches for large messages plus the layer's small-message
-// fallback (see selector.hpp for the default rule tables). The bridge keeps
-// existing profiles source-compatible while everything new speaks names.
-
-std::string_view name_of(mpi::BcastAlgo algo);
-std::string_view name_of(mpi::AllreduceAlgo algo);
-std::string_view name_of(mpi::AlltoallAlgo algo);
-std::string_view name_of(mpi::BarrierAlgo algo);
-
-/// Inverse mapping; accepts canonical names and aliases, throws
-/// std::invalid_argument on an unknown name.
-mpi::BcastAlgo bcast_policy_by_name(std::string_view name);
-mpi::AllreduceAlgo allreduce_policy_by_name(std::string_view name);
-mpi::AlltoallAlgo alltoall_policy_by_name(std::string_view name);
-mpi::BarrierAlgo barrier_policy_by_name(std::string_view name);
 
 }  // namespace gridsim::coll

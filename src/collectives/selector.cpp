@@ -1,105 +1,16 @@
 #include "collectives/selector.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdio>
+#include <stdexcept>
 
 #include "topology/grid5000.hpp"
 
 namespace gridsim::coll {
 
-namespace {
-
 using mpi::CollOp;
 using mpi::CollRule;
 using mpi::CollRules;
-
-CollRule rule(CollOp op, const char* algo, double min_bytes = 0,
-              double max_bytes = std::numeric_limits<double>::infinity()) {
-  CollRule r;
-  r.op = op;
-  r.algo = algo;
-  r.min_bytes = min_bytes;
-  r.max_bytes = max_bytes;
-  return r;
-}
-
-/// Default tables, one per legacy enum value. Each reproduces the historic
-/// switch statement: the latency algorithm at or below the cutoff, the
-/// enum's bandwidth algorithm above. Tables are total — the last rule is
-/// unbounded.
-const CollRules& bcast_table(mpi::BcastAlgo algo) {
-  static const CollRules binomial = {rule(CollOp::kBcast, "binomial")};
-  static const CollRules vandegeijn = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "scatter-ring")};
-  static const CollRules hierarchical = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "hierarchical")};
-  static const CollRules pipeline = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "pipeline")};
-  switch (algo) {
-    case mpi::BcastAlgo::kBinomial:
-      return binomial;
-    case mpi::BcastAlgo::kVanDeGeijn:
-      return vandegeijn;
-    case mpi::BcastAlgo::kHierarchical:
-      return hierarchical;
-    case mpi::BcastAlgo::kPipeline:
-      return pipeline;
-  }
-  return binomial;
-}
-
-const CollRules& allreduce_table(mpi::AllreduceAlgo algo) {
-  static const CollRules recdbl = {
-      rule(CollOp::kAllreduce, "recursive-doubling")};
-  static const CollRules rabenseifner = {
-      rule(CollOp::kAllreduce, "recursive-doubling", 0,
-           kAllreduceSmallCutoff),
-      rule(CollOp::kAllreduce, "rabenseifner")};
-  static const CollRules hierarchical = {
-      rule(CollOp::kAllreduce, "hierarchical")};
-  switch (algo) {
-    case mpi::AllreduceAlgo::kRecursiveDoubling:
-      return recdbl;
-    case mpi::AllreduceAlgo::kRabenseifner:
-      return rabenseifner;
-    case mpi::AllreduceAlgo::kHierarchical:
-      return hierarchical;
-  }
-  return recdbl;
-}
-
-const CollRules& alltoall_table(mpi::AlltoallAlgo algo) {
-  static const CollRules pairwise = {rule(CollOp::kAlltoall, "pairwise")};
-  static const CollRules ring = {rule(CollOp::kAlltoall, "ring")};
-  static const CollRules bruck = {rule(CollOp::kAlltoall, "bruck")};
-  switch (algo) {
-    case mpi::AlltoallAlgo::kPairwise:
-      return pairwise;
-    case mpi::AlltoallAlgo::kRing:
-      return ring;
-    case mpi::AlltoallAlgo::kBruck:
-      return bruck;
-  }
-  return pairwise;
-}
-
-const CollRules& barrier_table(mpi::BarrierAlgo algo) {
-  static const CollRules dissemination = {
-      rule(CollOp::kBarrier, "dissemination")};
-  static const CollRules tree = {rule(CollOp::kBarrier, "tree")};
-  switch (algo) {
-    case mpi::BarrierAlgo::kDissemination:
-      return dissemination;
-    case mpi::BarrierAlgo::kTree:
-      return tree;
-  }
-  return dissemination;
-}
-
-}  // namespace
 
 bool Selector::matches(const CollRule& r, CollOp op, double bytes, int nranks,
                        int nsites) {
@@ -117,43 +28,26 @@ bool Selector::matches(const CollRule& r, CollOp op, double bytes, int nranks,
   return true;
 }
 
-const CollRules& Selector::default_rules(const mpi::CollectiveSuite& suite,
-                                         CollOp op) {
-  switch (op) {
-    case CollOp::kBcast:
-      return bcast_table(suite.bcast);
-    case CollOp::kAllreduce:
-      return allreduce_table(suite.allreduce);
-    case CollOp::kAlltoall:
-      return alltoall_table(suite.alltoall);
-    case CollOp::kBarrier:
-      return barrier_table(suite.barrier);
-  }
-  return bcast_table(suite.bcast);
-}
-
-const CollRule& Selector::pick(const mpi::CollectiveSuite& suite, CollOp op,
+const CollRule& Selector::pick(const CollRules& rules, CollOp op,
                                double bytes, int nranks, int nsites) {
-  for (const CollRule& r : suite.selector)
+  for (const CollRule& r : rules)
     if (matches(r, op, bytes, nranks, nsites)) return r;
-  const CollRules& defaults = default_rules(suite, op);
-  for (const CollRule& r : defaults)
-    if (matches(r, op, bytes, nranks, nsites)) return r;
-  // Unreachable: default tables are total.
-  return defaults.back();
+  char where[96];
+  std::snprintf(where, sizeof where, "%.0f B on %d ranks over %d site(s)",
+                bytes, nranks, nsites);
+  throw std::invalid_argument(mpi::to_string(op) +
+                              ": no collective rule matches " + where);
 }
 
-CollRules Selector::effective_rules(const mpi::CollectiveSuite& suite,
-                                    CollOp op) {
+CollRules Selector::effective_rules(const CollRules& rules, CollOp op) {
   CollRules out;
-  for (const CollRule& r : suite.selector)
+  for (const CollRule& r : rules)
     if (r.op == op) out.push_back(r);
-  for (const CollRule& r : default_rules(suite, op)) out.push_back(r);
   return out;
 }
 
-bool Selector::needs_sites(const mpi::CollectiveSuite& suite, CollOp op) {
-  for (const CollRule& r : suite.selector)
+bool Selector::needs_sites(const CollRules& rules, CollOp op) {
+  for (const CollRule& r : rules)
     if (r.op == op && r.topo != mpi::TopoScope::kAny) return true;
   return false;
 }

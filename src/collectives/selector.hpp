@@ -2,57 +2,47 @@
 //
 // Every public collective entry point (collectives.cpp) asks the selector
 // which registered algorithm to run for (operation, message size,
-// communicator size, topology shape). Selection is declarative: an ordered
-// `mpi::CollRules` list, first match wins.
+// communicator size, topology shape). Selection is declarative: the
+// profile's decision table (`ImplProfile::collectives`, an ordered
+// `mpi::CollRules` list) is scanned first-match-wins. Experiments override
+// per-size/per-topology behaviour by putting rules ahead of the profile's
+// (`profiles::ExperimentBuilder::selector`), without touching the
+// algorithms.
 //
-//  1. The profile's custom rules (`suite.selector`) are scanned first —
-//     this is how experiments override per-size/per-topology behaviour
-//     without touching the algorithms.
-//  2. A call no custom rule matches falls back to the *default table*
-//     derived from the suite's legacy enums. The default tables reproduce
-//     the historic switch statements exactly (e.g. `kVanDeGeijn` = binomial
-//     at or below 12 kB, scatter-ring above), which is what keeps every
-//     pre-registry catalog digest byte-identical.
-//
-// The default tables are total (their last rule is unbounded), so `pick`
-// always returns a rule.
+// A call no rule matches throws std::invalid_argument: every shipped table
+// ends each operation with an unbounded rule, so this only fires on a
+// hand-written table with a gap.
 #pragma once
 
 #include "mpi/coll_rules.hpp"
 #include "mpi/mpi.hpp"
-#include "mpi/profile.hpp"
 
 namespace gridsim::coll {
 
-/// Small-message cutoffs of the default tables (bytes, inclusive): at or
-/// below the cutoff the latency-optimal algorithm wins (binomial bcast,
-/// recursive-doubling allreduce); above it the enum's bandwidth algorithm
-/// takes over.
+/// Small-message cutoffs of Table 1's two-algorithm rows (bytes,
+/// inclusive): at or below the cutoff the latency-optimal algorithm wins
+/// (binomial bcast, recursive-doubling allreduce); above it the profile's
+/// bandwidth algorithm takes over.
 constexpr double kBcastSmallCutoff = 12 * 1024;
 constexpr double kAllreduceSmallCutoff = 2 * 1024;
 
 class Selector {
  public:
-  /// The rule that decides (op, bytes, nranks, nsites) under `suite`:
-  /// custom rules first, then the enum-derived default table. The returned
-  /// reference lives as long as `suite` (custom match) or the process
-  /// (default match).
-  static const mpi::CollRule& pick(const mpi::CollectiveSuite& suite,
+  /// The first rule of `rules` that decides (op, bytes, nranks, nsites).
+  /// The returned reference lives as long as `rules`. Throws
+  /// std::invalid_argument, naming the operation, if no rule matches.
+  static const mpi::CollRule& pick(const mpi::CollRules& rules,
                                    mpi::CollOp op, double bytes, int nranks,
                                    int nsites);
 
-  /// The default table the suite's enum implies for one operation.
-  static const mpi::CollRules& default_rules(const mpi::CollectiveSuite& suite,
-                                             mpi::CollOp op);
-
-  /// Custom rules for `op` followed by the default table — the full
-  /// decision list `pick` scans, for `gridsim coll --list` and tests.
-  static mpi::CollRules effective_rules(const mpi::CollectiveSuite& suite,
+  /// The rules of `rules` for `op`, in order — the decision list `pick`
+  /// scans, for `gridsim coll --list` and tests.
+  static mpi::CollRules effective_rules(const mpi::CollRules& rules,
                                         mpi::CollOp op);
 
-  /// True if any custom rule for `op` discriminates on topology — only
-  /// then does a collective call need to count sites before picking.
-  static bool needs_sites(const mpi::CollectiveSuite& suite, mpi::CollOp op);
+  /// True if any rule for `op` discriminates on topology — only then does
+  /// a collective call need to count sites before picking.
+  static bool needs_sites(const mpi::CollRules& rules, mpi::CollOp op);
 
   /// Whether one rule matches the given call.
   static bool matches(const mpi::CollRule& rule, mpi::CollOp op, double bytes,

@@ -1,7 +1,11 @@
 #include "harness/pingpong.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "mpi/mpi.hpp"
 #include "simcore/simulation.hpp"
@@ -54,8 +58,19 @@ std::vector<net::HostId> endpoint_placement(const topo::Grid& grid,
 }  // namespace
 
 std::vector<double> pow2_sizes(double from, double to) {
+  // Written so that NaN fails too.
+  if (!(from > 0 && from <= to && std::isfinite(to))) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg,
+                  "pow2_sizes: need 0 < from <= to, both finite; got "
+                  "from=%g, to=%g",
+                  from, to);
+    throw std::invalid_argument(msg);
+  }
   std::vector<double> sizes;
-  for (double s = from; s <= to * 1.001; s *= 2) sizes.push_back(s);
+  // The isfinite test ends the doubling when `to * 1.001` overflows.
+  for (double s = from; s <= to * 1.001 && std::isfinite(s); s *= 2)
+    sizes.push_back(s);
   return sizes;
 }
 
@@ -64,6 +79,11 @@ std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
                                           const profiles::ExperimentConfig& cfg,
                                           const PingpongOptions& options,
                                           const SimHooks& hooks) {
+  // With no round trip a point would report kSimTimeNever as its latency.
+  if (options.rounds < 1)
+    throw std::invalid_argument("pingpong_sweep: rounds must be at least 1, "
+                                "got " +
+                                std::to_string(options.rounds));
   Simulation sim;
   if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);

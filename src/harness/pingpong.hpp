@@ -34,10 +34,12 @@ struct PingpongOptions {
 };
 
 /// Power-of-two sizes from `from` to `to` inclusive (the paper: 1 kB..64 MB).
+/// Throws std::invalid_argument unless 0 < from <= to, both finite.
 std::vector<double> pow2_sizes(double from, double to);
 
 /// Runs a full sweep in one job (TCP connections stay warm across sizes,
-/// like a real ping-pong binary).
+/// like a real ping-pong binary). Throws std::invalid_argument if
+/// `options.rounds` < 1.
 std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
                                           const PingpongEndpoints& ends,
                                           const profiles::ExperimentConfig& cfg,

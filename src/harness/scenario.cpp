@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "simcore/glob.hpp"
+
 namespace gridsim::harness {
 
 double ScenarioResult::metric(const std::string& name) const {
@@ -14,31 +16,6 @@ bool ScenarioResult::has_metric(const std::string& name) const {
   for (const Metric& m : metrics)
     if (m.name == name) return true;
   return false;
-}
-
-bool glob_match(const std::string& pattern, const std::string& text) {
-  // Iterative matcher with the classic star-backtracking trick: remember
-  // the last `*` and the text position it matched up to, and on mismatch
-  // let the star absorb one more character.
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      star_t = t;
-    } else if (star != std::string::npos) {
-      p = star + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
 }
 
 void ScenarioRegistry::add(ScenarioSpec spec) {

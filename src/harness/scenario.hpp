@@ -92,9 +92,6 @@ using GroupRenderer = std::function<std::string(
     const std::vector<const ScenarioSpec*>& specs,
     const std::vector<const ScenarioResult*>& results)>;
 
-/// Shell-style glob match supporting `*` and `?` (no character classes).
-bool glob_match(const std::string& pattern, const std::string& text);
-
 class ScenarioRegistry {
  public:
   /// Registers a scenario. Throws std::invalid_argument on an empty name,

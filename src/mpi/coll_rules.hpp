@@ -3,10 +3,9 @@
 // A `CollRule` names a registered collective algorithm (see
 // collectives/registry.hpp) and the conditions under which the selector may
 // use it: operation, message-size band, communicator-size band and topology
-// scope. An `ImplProfile` carries an ordered list of rules in its
-// `CollectiveSuite`; the first matching rule wins, and a call no rule
-// matches falls back to the suite's per-operation enum policy (the
-// WAN-oblivious/-aware defaults of Table 1).
+// scope. An `ImplProfile`'s `collectives` is one ordered list of rules, its
+// decision table (Table 1's per-implementation choice): the first matching
+// rule wins, and a call no rule matches is an error.
 //
 // The types are plain data on purpose: the mpi layer stores and transports
 // rules, the collectives layer interprets them. This mirrors OpenMPI's
@@ -15,6 +14,7 @@
 #pragma once
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,10 +59,25 @@ struct CollRule {
   int min_ranks = 0;
   int max_ranks = std::numeric_limits<int>::max();
   TopoScope topo = TopoScope::kAny;
+
+  bool operator==(const CollRule&) const = default;
 };
 
 /// Ordered rule list; first match wins.
 using CollRules = std::vector<CollRule>;
+
+/// A profile's decision table. Immutable and shared, so copying a profile
+/// copies no rules (the catalog copies some 350 profiles as it registers
+/// its scenarios).
+using CollTable = std::shared_ptr<const CollRules>;
+
+/// A new table: `ahead`, then the rules of `table`. First match wins, so
+/// `ahead` decides only the calls it matches.
+inline CollTable prepend(const CollRules& ahead, const CollRules& table) {
+  auto out = std::make_shared<CollRules>(ahead);
+  out->insert(out->end(), table.begin(), table.end());
+  return out;
+}
 
 inline std::string to_string(CollOp op) {
   switch (op) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "mpi/coll_rules.hpp"
@@ -21,43 +22,18 @@ enum class BufferStrategy {
   kSetsockopt,     ///< explicit SO_SNDBUF/SO_RCVBUF (OpenMPI btl_tcp_*buf)
 };
 
-enum class BcastAlgo {
-  kBinomial,          ///< log2(p) tree, WAN-oblivious
-  kVanDeGeijn,        ///< scatter + ring allgather (MPICH2/OpenMPI large)
-  kHierarchical,      ///< one WAN transfer per site, parallel streams
-  kPipeline,          ///< segmented chain in rank order (OpenMPI large alt)
-};
-
-enum class AllreduceAlgo {
-  kRecursiveDoubling,
-  kRabenseifner,      ///< reduce-scatter + allgather (GridMPI)
-  kHierarchical,      ///< per-site reduce, WAN exchange, per-site bcast
-};
-
-enum class AlltoallAlgo {
-  kPairwise,
-  kRing,
-  kBruck,  ///< log2(p) rounds of aggregated blocks; wins for tiny payloads
-};
-
-enum class BarrierAlgo {
-  kDissemination,  ///< log2(p) rounds, every rank active each round
-  kTree,           ///< binomial reduce + binomial broadcast of a token
-};
-
-struct CollectiveSuite {
-  BcastAlgo bcast = BcastAlgo::kBinomial;
-  AllreduceAlgo allreduce = AllreduceAlgo::kRecursiveDoubling;
-  AlltoallAlgo alltoall = AlltoallAlgo::kPairwise;
-  BarrierAlgo barrier = BarrierAlgo::kDissemination;
-  /// WAN-aware algorithms split the communicator by site and use multiple
-  /// simultaneous node-to-node connections across the WAN (GridMPI [21]).
-  bool topology_aware = false;
-  /// Declarative selection rules, scanned first-match-wins before the
-  /// default tables the enums above imply (collectives/selector.hpp). Empty
-  /// (the default) means the enum-derived behaviour, unchanged.
-  CollRules selector;
-};
+/// The default decision table, WAN-oblivious: binomial bcast,
+/// recursive-doubling allreduce, pairwise alltoall and dissemination
+/// barrier, each at every size.
+inline CollTable wan_oblivious_table() {
+  static const CollTable table = std::make_shared<const CollRules>(CollRules{
+      {.op = CollOp::kBcast, .algo = "binomial"},
+      {.op = CollOp::kAllreduce, .algo = "recursive-doubling"},
+      {.op = CollOp::kAlltoall, .algo = "pairwise"},
+      {.op = CollOp::kBarrier, .algo = "dissemination"},
+  });
+  return table;
+}
 
 /// Everything that distinguishes one MPI implementation from another in
 /// this model.
@@ -101,7 +77,10 @@ struct ImplProfile {
   double stripe_threshold = 256 * 1024;
 
   // --- collectives (Table 1) ----------------------------------------------
-  CollectiveSuite collectives;
+  /// The collective decision table: ordered rules, first match wins
+  /// (collectives/selector.hpp). Never null. Each profile in src/profiles
+  /// writes out its own table.
+  CollTable collectives = wan_oblivious_table();
 
   // --- constants shared by all implementations ---------------------------
   /// Per-message protocol header bytes (match header + envelope).

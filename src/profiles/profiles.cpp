@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
-#include "collectives/registry.hpp"
+#include "collectives/selector.hpp"
 
 namespace gridsim::profiles {
 
@@ -11,6 +12,43 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double k4MB = 4.0 * 1024 * 1024;
 constexpr double kTunedThreshold = 65.0 * 1024 * 1024;  // Table 5
+
+using mpi::CollOp;
+
+mpi::CollRule rule(CollOp op, const char* algo, double max_bytes = kInf) {
+  return mpi::CollRule{.op = op, .algo = algo, .max_bytes = max_bytes};
+}
+
+/// Table 1's WAN-oblivious bandwidth algorithms (MPICH2, OpenMPI): van de
+/// Geijn broadcast (scatter + ring allgather, whose ring crosses the WAN
+/// ~every step) and Rabenseifner allreduce above the small-message
+/// cutoffs.
+mpi::CollTable vandegeijn_rabenseifner() {
+  static const mpi::CollTable table =
+      std::make_shared<const mpi::CollRules>(mpi::CollRules{
+          rule(CollOp::kBcast, "binomial", coll::kBcastSmallCutoff),
+          rule(CollOp::kBcast, "scatter-ring"),
+          rule(CollOp::kAllreduce, "recursive-doubling",
+               coll::kAllreduceSmallCutoff),
+          rule(CollOp::kAllreduce, "rabenseifner"),
+          rule(CollOp::kAlltoall, "pairwise"),
+          rule(CollOp::kBarrier, "dissemination")});
+  return table;
+}
+
+/// Topology-aware collectives (GridMPI, MPICH-G2): hierarchical broadcast
+/// above the bcast cutoff and hierarchical allreduce at every size, each
+/// crossing the WAN once per site pair. Alltoall is not optimised.
+mpi::CollTable wan_aware() {
+  static const mpi::CollTable table =
+      std::make_shared<const mpi::CollRules>(mpi::CollRules{
+          rule(CollOp::kBcast, "binomial", coll::kBcastSmallCutoff),
+          rule(CollOp::kBcast, "hierarchical"),
+          rule(CollOp::kAllreduce, "hierarchical"),
+          rule(CollOp::kAlltoall, "pairwise"),
+          rule(CollOp::kBarrier, "dissemination")});
+  return table;
+}
 }  // namespace
 
 std::string to_string(TuningLevel level) {
@@ -31,9 +69,7 @@ mpi::ImplProfile mpich2() {
   p.send_overhead = p.recv_overhead = microseconds(2) + nanoseconds(500);
   p.eager_threshold = 256 * 1024;
   p.buffers = mpi::BufferStrategy::kAutoTune;
-  p.collectives.bcast = mpi::BcastAlgo::kVanDeGeijn;  // ring for large msgs
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRabenseifner;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  p.collectives = vandegeijn_rabenseifner();
   return p;
 }
 
@@ -44,10 +80,7 @@ mpi::ImplProfile gridmpi() {
   p.eager_threshold = kInf;  // no rendez-vous for MPI_Send by default
   p.buffers = mpi::BufferStrategy::kLockToInitial;
   p.pacing = true;
-  p.collectives.bcast = mpi::BcastAlgo::kHierarchical;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kHierarchical;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;  // not optimised
-  p.collectives.topology_aware = true;
+  p.collectives = wan_aware();
   return p;
 }
 
@@ -58,9 +91,7 @@ mpi::ImplProfile mpich_madeleine() {
   p.lan_extra_overhead = microseconds(3) + nanoseconds(500);
   p.eager_threshold = 128 * 1024;
   p.buffers = mpi::BufferStrategy::kAutoTune;
-  p.collectives.bcast = mpi::BcastAlgo::kBinomial;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRecursiveDoubling;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  // MPICH-1-era collectives: the default WAN-oblivious table.
   return p;
 }
 
@@ -72,9 +103,7 @@ mpi::ImplProfile openmpi() {
   p.eager_threshold_max = 32.0 * 1024 * 1024;  // btl_tcp_eager_limit cap
   p.buffers = mpi::BufferStrategy::kSetsockopt;
   p.setsockopt_bytes = 128 * 1024;
-  p.collectives.bcast = mpi::BcastAlgo::kVanDeGeijn;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRabenseifner;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  p.collectives = vandegeijn_rabenseifner();
   return p;
 }
 
@@ -97,9 +126,7 @@ mpi::ImplProfile mpich_g2() {
   p.eager_threshold = 256 * 1024;  // MPICH lineage
   p.buffers = mpi::BufferStrategy::kAutoTune;
   // Topology-aware collectives: WAN < LAN < intra-machine (Section 2.1.5).
-  p.collectives.bcast = mpi::BcastAlgo::kHierarchical;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kHierarchical;
-  p.collectives.topology_aware = true;
+  p.collectives = wan_aware();
   // "Support for large messages using several TCP streams" (GridFTP).
   p.wan_parallel_streams = 4;
   p.stripe_threshold = 256 * 1024;
@@ -132,30 +159,6 @@ ExperimentConfig configure(mpi::ImplProfile base, TuningLevel level) {
   }
   cfg.profile = std::move(base);
   return cfg;
-}
-
-// Name-based knobs resolve through the registry's enum bridge so
-// `.bcast_algo("vandegeijn")` and `.bcast(BcastAlgo::kVanDeGeijn)` are the
-// same profile (byte-identical digests). Defined out of line to keep the
-// collectives registry out of this widely-included header.
-ExperimentBuilder& ExperimentBuilder::bcast_algo(std::string_view name) {
-  base_.collectives.bcast = coll::bcast_policy_by_name(name);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::allreduce_algo(std::string_view name) {
-  base_.collectives.allreduce = coll::allreduce_policy_by_name(name);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::alltoall_algo(std::string_view name) {
-  base_.collectives.alltoall = coll::alltoall_policy_by_name(name);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::barrier_algo(std::string_view name) {
-  base_.collectives.barrier = coll::barrier_policy_by_name(name);
-  return *this;
 }
 
 ExperimentConfig ExperimentBuilder::build() const {

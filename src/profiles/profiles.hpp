@@ -5,7 +5,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "mpi/profile.hpp"
@@ -76,7 +75,7 @@ ExperimentConfig configure(mpi::ImplProfile base, TuningLevel level);
 ///                  .setsockopt_bytes(512e3)    // override after tuning
 ///                  .eager_threshold(1e12);
 ///
-/// Semantics: profile identity knobs (label, pacing, collective algorithms)
+/// Semantics: profile identity knobs (label, pacing, collective rules)
 /// are applied to the base profile *before* `configure`, and ablation
 /// overrides (eager threshold, socket buffers, WAN overhead, kernel
 /// tunables) *after* it, so an override always wins over what the tuning
@@ -100,33 +99,12 @@ class ExperimentBuilder {
     base_.pacing = on;
     return *this;
   }
-  ExperimentBuilder& bcast(mpi::BcastAlgo algo) {
-    base_.collectives.bcast = algo;
-    return *this;
-  }
-  ExperimentBuilder& allreduce(mpi::AllreduceAlgo algo) {
-    base_.collectives.allreduce = algo;
-    return *this;
-  }
-  ExperimentBuilder& alltoall(mpi::AlltoallAlgo algo) {
-    base_.collectives.alltoall = algo;
-    return *this;
-  }
-  /// Name-based algorithm selection (the registry's vocabulary, aliases
-  /// accepted): `.bcast_algo("vandegeijn")` is the modern spelling of
-  /// `.bcast(mpi::BcastAlgo::kVanDeGeijn)`. Each name selects the enum
-  /// *policy* — the named algorithm for large messages with the layer's
-  /// usual small-message fallback — so digests match the enum spelling
-  /// exactly. Throws std::invalid_argument on an unknown name.
-  ExperimentBuilder& bcast_algo(std::string_view name);
-  ExperimentBuilder& allreduce_algo(std::string_view name);
-  ExperimentBuilder& alltoall_algo(std::string_view name);
-  ExperimentBuilder& barrier_algo(std::string_view name);
-  /// Replaces the profile's declarative selector rules, scanned
-  /// first-match-wins before the enum-derived defaults
-  /// (collectives/selector.hpp).
-  ExperimentBuilder& selector(mpi::CollRules rules) {
-    base_.collectives.selector = std::move(rules);
+  /// Puts `rules` ahead of the profile's collective decision table
+  /// (collectives/selector.hpp): first match wins, so they override only
+  /// the operations, sizes and topologies they match. A later call's rules
+  /// go ahead of an earlier call's.
+  ExperimentBuilder& selector(const mpi::CollRules& rules) {
+    base_.collectives = mpi::prepend(rules, *base_.collectives);
     return *this;
   }
   /// Replaces the kernel tunables the tuning level selected.

@@ -12,11 +12,12 @@
 //    throws unless the sweep catches it as a "monotone-bcast" violation,
 //    proving the harness can detect a bad selector.
 //  * coll/equiv-* — every registered algorithm per operation, selected by
-//    name through declarative selector rules, must complete and move the
-//    operation's lower-bound traffic.
-//  * coll/decision-table, coll/selector-rules, coll/builder-knobs — the
-//    registry/selector introspection surface and the name-based builder
-//    knobs (enum spelling and name spelling must be indistinguishable).
+//    name through a rule put ahead of the profile's decision table, must
+//    complete and move the operation's lower-bound traffic.
+//  * coll/decision-table, coll/selector-rules — the registry/selector
+//    introspection surface: the shipped tables' size and cutoffs, and
+//    topology-scoped rules through the builder's one collective knob,
+//    `.selector()`.
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
@@ -136,10 +137,10 @@ void register_misrule(ScenarioRegistry& reg) {
   spec.expected_metrics = {"violations", "monotone_bcast_ratio"};
   spec.ranks = kCollRanks;
   spec.run = [](const ScenarioContext& ctx) {
-    mpi::ImplProfile impl = profiles::mpich2();
-    impl.collectives.selector = coll::misruled_selector();
     const profiles::ExperimentConfig cfg =
-        profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
+        profiles::experiment(profiles::mpich2())
+            .selector(coll::misruled_selector())
+            .tuning(profiles::TuningLevel::kTcpTuned);
     coll::GuidelineOptions opt;
     opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = true;
@@ -329,8 +330,8 @@ void register_decision_table(ScenarioRegistry& reg) {
   spec.group = "coll";
   spec.name = "coll/decision-table";
   spec.description =
-      "registry introspection + default-table spot checks: the enum-derived "
-      "rules reproduce the historic cutoffs";
+      "registry introspection + decision-table spot checks: MPICH2's "
+      "table switches at the historic cutoffs";
   spec.expected_metrics = {"bcast_algos", "allreduce_algos", "alltoall_algos",
                            "barrier_algos", "rules_total"};
   spec.run = [](const ScenarioContext&) {
@@ -340,13 +341,13 @@ void register_decision_table(ScenarioRegistry& reg) {
       for (auto op : {CollOp::kBcast, CollOp::kAllreduce, CollOp::kAlltoall,
                       CollOp::kBarrier})
         rules_total += static_cast<int>(
-            coll::Selector::effective_rules(impl.collectives, op).size());
+            coll::Selector::effective_rules(*impl.collectives, op).size());
     // The historic cutoffs, as decision-table facts: MPICH2 broadcasts
     // binomially at the 12 kB cutoff and switches to the ring just above
     // it; allreduce switches at 2 kB.
-    const auto& suite = profiles::mpich2().collectives;
-    const auto pick = [&suite](CollOp op, double bytes) {
-      return coll::Selector::pick(suite, op, bytes, kCollRanks, 2).algo;
+    const mpi::CollTable table = profiles::mpich2().collectives;
+    const auto pick = [&table](CollOp op, double bytes) {
+      return coll::Selector::pick(*table, op, bytes, kCollRanks, 2).algo;
     };
     if (pick(CollOp::kBcast, coll::kBcastSmallCutoff) != "binomial" ||
         pick(CollOp::kBcast, coll::kBcastSmallCutoff + 1) != "scatter-ring" ||
@@ -355,7 +356,7 @@ void register_decision_table(ScenarioRegistry& reg) {
         pick(CollOp::kAllreduce, coll::kAllreduceSmallCutoff + 1) !=
             "rabenseifner")
       throw std::runtime_error(
-          "default decision table does not reproduce the historic cutoffs");
+          "MPICH2's decision table does not reproduce the historic cutoffs");
     ScenarioResult res;
     res.add("bcast_algos", static_cast<double>(registry.bcast().size()));
     res.add("allreduce_algos",
@@ -388,14 +389,14 @@ void register_selector_rules(ScenarioRegistry& reg) {
     mpi::CollRule single = pure_rule(CollOp::kBcast, "scatter-ring");
     single.topo = mpi::TopoScope::kSingleSite;
     const mpi::CollRules rules = {multi, single};
-    // The pick is topology-dependent even though the suite is identical.
-    const auto& suite = profiles::experiment(profiles::mpich2())
-                            .selector(rules)
-                            .build()
-                            .profile.collectives;
-    if (coll::Selector::pick(suite, CollOp::kBcast, 256e3, kCollRanks, 2)
+    // The pick is topology-dependent even though the table is identical.
+    const mpi::CollTable table = profiles::experiment(profiles::mpich2())
+                                     .selector(rules)
+                                     .build()
+                                     .profile.collectives;
+    if (coll::Selector::pick(*table, CollOp::kBcast, 256e3, kCollRanks, 2)
                 .algo != "hierarchical" ||
-        coll::Selector::pick(suite, CollOp::kBcast, 256e3, kCollRanks, 1)
+        coll::Selector::pick(*table, CollOp::kBcast, 256e3, kCollRanks, 1)
                 .algo != "scatter-ring")
       throw std::runtime_error("topology-scoped rules picked wrong entries");
     const auto body = [](Rank& r) -> Task<void> {
@@ -423,55 +424,6 @@ void register_selector_rules(ScenarioRegistry& reg) {
   reg.add(std::move(spec));
 }
 
-void register_builder_knobs(ScenarioRegistry& reg) {
-  ScenarioSpec spec;
-  spec.group = "coll";
-  spec.name = "coll/builder-knobs";
-  spec.description =
-      "name-based builder knobs are byte-identical to the enum spelling "
-      "(.bcast_algo(\"vandegeijn\") == .bcast(kVanDeGeijn))";
-  spec.expected_metrics = {"makespan_s", "delta_s"};
-  spec.ranks = kCollRanks;
-  spec.run = [](const ScenarioContext& ctx) {
-    const auto body = [](Rank& r) -> Task<void> {
-      for (int i = 0; i < 3; ++i) {
-        co_await coll::bcast(r, 0, 128e3);
-        co_await coll::allreduce(r, 32e3);
-      }
-    };
-    const double by_enum =
-        run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
-                  profiles::experiment(profiles::mpich_madeleine())
-                      .bcast(mpi::BcastAlgo::kVanDeGeijn)
-                      .allreduce(mpi::AllreduceAlgo::kRabenseifner),
-                  body);
-    const double by_name =
-        run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
-                  profiles::experiment(profiles::mpich_madeleine())
-                      .bcast_algo("vandegeijn")
-                      .allreduce_algo("rabenseifner"),
-                  body);
-    if (by_enum != by_name)
-      throw std::runtime_error(
-          "name-based knobs diverged from the enum spelling");
-    bool threw = false;
-    try {
-      profiles::experiment(profiles::mpich2()).bcast_algo("no-such-algo");
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    if (!threw)
-      throw std::runtime_error("unknown algorithm name did not throw");
-    ScenarioResult res;
-    res.add("makespan_s", by_name, "s");
-    res.add("delta_s", by_enum - by_name, "s");
-    res.note = "enum and name spellings identical at " +
-               harness::format_double(by_name, 4) + " s";
-    return res;
-  };
-  reg.add(std::move(spec));
-}
-
 }  // namespace
 
 void register_coll_catalog(ScenarioRegistry& reg) {
@@ -484,7 +436,6 @@ void register_coll_catalog(ScenarioRegistry& reg) {
   register_equiv_barrier(reg);
   register_decision_table(reg);
   register_selector_rules(reg);
-  register_builder_knobs(reg);
 
   reg.set_renderer("coll", [](const auto& specs, const auto& results) {
     std::string out =

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "collectives/collectives.hpp"
+#include "collectives/selector.hpp"
 #include "harness/npb_campaign.hpp"
 #include "mpi/mpi.hpp"
 #include "scenarios/catalog_internal.hpp"
@@ -235,20 +236,44 @@ void register_ratio_figure(ScenarioRegistry& reg, const RatioFigure& fig) {
 // Ablation: collective algorithm suites on the grid.
 // ---------------------------------------------------------------------------
 
+/// One algorithm for `op` at every size.
+mpi::CollRules only(mpi::CollOp op, const char* algo) {
+  return {mpi::CollRule{.op = op, .algo = algo}};
+}
+
+/// `small` up to its size cap, then `algo` for the same operation.
+mpi::CollRules after(const mpi::CollRule& small, const char* algo) {
+  return {small, mpi::CollRule{.op = small.op, .algo = algo}};
+}
+
 void register_ablation_collectives(ScenarioRegistry& reg) {
+  using mpi::CollOp;
+  // Each case's rules go ahead of MPICH2's decision table
+  // (ExperimentBuilder::selector), so they decide every call of their
+  // operation. A bandwidth algorithm keeps the latency one for small
+  // messages, as Table 1's suites do.
+  const mpi::CollRule binomial_small{.op = CollOp::kBcast,
+                                     .algo = "binomial",
+                                     .max_bytes = coll::kBcastSmallCutoff};
+  const mpi::CollRule recdbl_small{.op = CollOp::kAllreduce,
+                                   .algo = "recursive-doubling",
+                                   .max_bytes = coll::kAllreduceSmallCutoff};
   struct BcastCase {
     const char* slug;
     const char* label;
-    const char* algo;  ///< registry name (collectives/registry.hpp)
+    mpi::CollRules rules;
   };
-  for (const BcastCase c :
-       {BcastCase{"bcast-binomial", "binomial tree", "binomial"},
+  for (const BcastCase& c :
+       {BcastCase{"bcast-binomial", "binomial tree",
+                  only(CollOp::kBcast, "binomial")},
         BcastCase{"bcast-vandegeijn",
-                  "scatter + ring allgather (WAN-oblivious)", "vandegeijn"},
-        BcastCase{"bcast-pipeline", "segmented pipeline chain", "pipeline"},
+                  "scatter + ring allgather (WAN-oblivious)",
+                  after(binomial_small, "scatter-ring")},
+        BcastCase{"bcast-pipeline", "segmented pipeline chain",
+                  after(binomial_small, "pipeline")},
         BcastCase{"bcast-hierarchical",
                   "hierarchical, parallel WAN streams (GridMPI)",
-                  "hierarchical"}}) {
+                  after(binomial_small, "hierarchical")}}) {
     ScenarioSpec spec;
     spec.group = "ablation_collectives";
     spec.name = std::string("ablation_collectives/") + c.slug;
@@ -256,13 +281,12 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
         std::string("FT class B on 8+8 nodes, bcast = ") + c.label;
     spec.expected_metrics = {"ft_s"};
     const std::string label = c.label;
-    const std::string algo = c.algo;
-    spec.run = [label, algo](const ScenarioContext& ctx) {
+    spec.run = [label, rules = c.rules](const ScenarioContext& ctx) {
       const auto res_npb = harness::run_npb(
           topo::GridSpec::rennes_nancy(8), 16, npb::Kernel::kFT,
           npb::Class::kB,
           profiles::experiment(profiles::mpich2())
-              .bcast_algo(algo)
+              .selector(rules)
               .tuning(TuningLevel::kTcpTuned),
           0, ctx.hooks);
       ScenarioResult res;
@@ -279,14 +303,15 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
   struct ArCase {
     const char* slug;
     const char* label;
-    const char* algo;  ///< registry name (collectives/registry.hpp)
+    mpi::CollRules rules;
   };
-  for (const ArCase c :
+  for (const ArCase& c :
        {ArCase{"allreduce-recursive-doubling", "recursive doubling",
-               "recursive-doubling"},
-        ArCase{"allreduce-rabenseifner", "Rabenseifner", "rabenseifner"},
+               only(CollOp::kAllreduce, "recursive-doubling")},
+        ArCase{"allreduce-rabenseifner", "Rabenseifner",
+               after(recdbl_small, "rabenseifner")},
         ArCase{"allreduce-hierarchical", "hierarchical (GridMPI)",
-               "hierarchical"}}) {
+               only(CollOp::kAllreduce, "hierarchical")}}) {
     ScenarioSpec spec;
     spec.group = "ablation_collectives";
     spec.name = std::string("ablation_collectives/") + c.slug;
@@ -295,11 +320,10 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
         c.label;
     spec.expected_metrics = {"total_s"};
     const std::string label = c.label;
-    const std::string algo = c.algo;
-    spec.run = [label, algo](const ScenarioContext& ctx) {
+    spec.run = [label, rules = c.rules](const ScenarioContext& ctx) {
       const profiles::ExperimentConfig cfg =
           profiles::experiment(profiles::mpich2())
-              .allreduce_algo(algo)
+              .selector(rules)
               .tuning(TuningLevel::kTcpTuned);
       // 100 back-to-back 64 kB allreduces over 8+8 nodes, timed directly
       // on a raw Simulation (so the hooks are invoked manually).

@@ -97,10 +97,4 @@ class LossProcess {
   bool bad_ = false;  // Gilbert-Elliott channel state; starts Good
 };
 
-/// Shell-style glob over link names (`*` and `?`), used by the injector
-/// specs to select target links ("*-*" matches the WAN backbone links,
-/// "rennes.up" one site uplink). Kept here so simfault does not depend on
-/// the harness layer's identical matcher.
-bool link_glob_match(const std::string& pattern, const std::string& text);
-
 }  // namespace gridsim::simfault

@@ -4,30 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-namespace gridsim::simfault {
+#include "simcore/glob.hpp"
 
-bool link_glob_match(const std::string& pattern, const std::string& text) {
-  // Iterative glob with star backtracking (same semantics as the harness
-  // registry matcher: `*` and `?`, no character classes).
-  std::size_t p = 0, t = 0, star = std::string::npos, mark = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      mark = t;
-    } else if (star != std::string::npos) {
-      p = star + 1;
-      t = ++mark;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
+namespace gridsim::simfault {
 
 FaultInjector::FaultInjector(
     net::Network& net, FaultPlan plan,
@@ -88,7 +67,7 @@ std::vector<net::LinkId> FaultInjector::match_links(
     const std::string& glob) const {
   std::vector<net::LinkId> out;
   for (net::LinkId l = 0; l < net_.link_count(); ++l)
-    if (link_glob_match(glob, net_.link(l).name)) out.push_back(l);
+    if (glob_match(glob, net_.link(l).name)) out.push_back(l);
   if (out.empty())
     throw std::invalid_argument("fault link glob '" + glob +
                                 "' matches no link");

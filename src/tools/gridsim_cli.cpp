@@ -152,10 +152,11 @@ int cmd_pingpong(int argc, char** argv) {
   harness::PingpongOptions opt;
   opt.sizes = harness::pow2_sizes(min_bytes, max_bytes);
   opt.rounds = rounds;
+  const auto points = harness::pingpong_sweep(spec, ends, cfg, opt);
   std::printf("# pingpong %s (%s, %s)\n", impl.name.c_str(),
               cluster ? "cluster" : "grid", tuning.c_str());
   std::printf("%10s %14s %16s\n", "size", "latency (us)", "bandwidth (Mbps)");
-  for (const auto& p : harness::pingpong_sweep(spec, ends, cfg, opt)) {
+  for (const auto& p : points) {
     std::printf("%10s %14.1f %16.1f\n",
                 harness::format_bytes(p.bytes).c_str(),
                 to_microseconds(p.min_one_way), p.max_bandwidth_mbps);
@@ -247,6 +248,11 @@ int cmd_ray2mesh(int argc, char** argv) {
     std::fprintf(stderr,
                  "unknown master site '%s' (rennes, nancy, sophia, toulouse)\n",
                  master_name.c_str());
+    return 2;
+  }
+  if (!(rays >= 1 && rays <= INT_MAX)) {
+    std::fprintf(stderr, "ray2mesh: --rays must be in [1, %d], got %g\n",
+                 INT_MAX, rays);
     return 2;
   }
   apps::Ray2MeshConfig app;
@@ -513,8 +519,8 @@ int cmd_mc(int argc, char** argv) {
 }
 
 /// One row of the `coll --list` decision table.
-void print_rules(const mpi::CollectiveSuite& suite, mpi::CollOp op) {
-  for (const auto& r : coll::Selector::effective_rules(suite, op)) {
+void print_rules(const mpi::CollRules& table, mpi::CollOp op) {
+  for (const auto& r : coll::Selector::effective_rules(table, op)) {
     std::string bytes_band = "any size";
     const bool has_min = r.min_bytes > 0;
     const bool has_max = r.max_bytes < 1e18;
@@ -567,9 +573,7 @@ int cmd_coll(int argc, char** argv) {
     const auto& reg = coll::AlgorithmRegistry::instance();
     std::printf("# registered algorithms\n");
     const auto print_entry = [](const char* op, const auto& a) {
-      std::string name = a.name;
-      for (const auto& alias : a.aliases) name += " (alias: " + alias + ")";
-      std::printf("  %-9s %-32s %s%s\n", op, name.c_str(),
+      std::printf("  %-9s %-32s %s%s\n", op, a.name.c_str(),
                   a.wan_aware ? "[wan-aware] " : "", a.description.c_str());
     };
     for (const auto& a : reg.bcast()) print_entry("bcast", a);
@@ -581,7 +585,7 @@ int cmd_coll(int argc, char** argv) {
                   impl.name.c_str());
       for (auto op : {mpi::CollOp::kBcast, mpi::CollOp::kAllreduce,
                       mpi::CollOp::kAlltoall, mpi::CollOp::kBarrier})
-        print_rules(impl.collectives, op);
+        print_rules(*impl.collectives, op);
     }
   }
 

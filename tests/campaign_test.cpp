@@ -19,6 +19,7 @@
 #include "harness/determinism.hpp"
 #include "harness/scenario.hpp"
 #include "scenarios/catalog.hpp"
+#include "simcore/glob.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/sync.hpp"
 #include "simcore/trace.hpp"
@@ -91,6 +92,14 @@ TEST(GlobMatch, StarAndQuestionMark) {
   EXPECT_TRUE(glob_match("*MPICH*", "fig3/MPICH2"));
   EXPECT_FALSE(glob_match("", "x"));
   EXPECT_TRUE(glob_match("", ""));
+  // Link names as the fault specs select them: "*-*" is the WAN backbone
+  // (both directions), not a site's nodes or its uplink.
+  EXPECT_TRUE(glob_match("*-*", "rennes-nancy"));
+  EXPECT_TRUE(glob_match("*-*", "rennes-nancy.rev"));
+  EXPECT_FALSE(glob_match("*-*", "rennes0"));
+  EXPECT_FALSE(glob_match("*-*", "rennes.up"));
+  EXPECT_TRUE(glob_match("rennes.up", "rennes.up"));
+  EXPECT_FALSE(glob_match("rennes.up", "rennes.up.rev"));
 }
 
 TEST(ScenarioRegistry, RejectsNameCollisions) {

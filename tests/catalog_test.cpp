@@ -155,7 +155,6 @@ const std::vector<std::string>& expected_names() {
     "coll/equiv-barrier",
     "coll/decision-table",
     "coll/selector-rules",
-    "coll/builder-knobs",
   };
   return names;
 }
@@ -209,7 +208,7 @@ TEST(Catalog, CollGroupIsComplete) {
       "coll/misrule-fixture",  "coll/equiv-bcast",
       "coll/equiv-allreduce",  "coll/equiv-alltoall",
       "coll/equiv-barrier",    "coll/decision-table",
-      "coll/selector-rules",   "coll/builder-knobs",
+      "coll/selector-rules",
   };
   EXPECT_EQ(coll, expected);
   // Guideline sweeps are deterministic simulations with no wildcard

@@ -1,6 +1,6 @@
 // Unit tests for the collective-algorithm registry, the declarative
-// selector and the guideline harness: the API surface `gridsim coll`
-// and the fluent builder knobs sit on. The registered algorithm set is
+// selector and the guideline harness: the API surface `gridsim coll` and
+// the builder's `.selector()` knob sit on. The registered algorithm set is
 // pinned here — adding or renaming an algorithm is an API change and must
 // update these expectations (and docs/collectives.md).
 #include <gtest/gtest.h>
@@ -46,13 +46,12 @@ TEST(Registry, PinsTheAlgorithmSet) {
   EXPECT_THROW(reg.names("gather"), std::invalid_argument);
 }
 
-TEST(Registry, FindsByNameAndAlias) {
+TEST(Registry, FindsByName) {
   const auto& reg = AlgorithmRegistry::instance();
-  ASSERT_NE(reg.find_bcast("scatter-ring"), nullptr);
-  // "vandegeijn" is the historical alias the enum knob used.
-  const auto* via_alias = reg.find_bcast("vandegeijn");
-  ASSERT_NE(via_alias, nullptr);
-  EXPECT_EQ(via_alias->name, "scatter-ring");
+  const auto* ring = reg.find_bcast("scatter-ring");
+  ASSERT_NE(ring, nullptr);
+  EXPECT_EQ(ring->name, "scatter-ring");
+  EXPECT_EQ(reg.find_bcast("vandegeijn"), nullptr);  // one name each
   EXPECT_EQ(reg.find_bcast("quantum"), nullptr);
   EXPECT_EQ(reg.find_allreduce("binomial"), nullptr);  // wrong operation
 }
@@ -69,37 +68,17 @@ TEST(Registry, EntriesCarryMetadataAndRunners) {
   EXPECT_TRUE(reg.find_allreduce("hierarchical")->wan_aware);
 }
 
-TEST(Registry, PolicyNameBridgeRoundTrips) {
-  EXPECT_EQ(bcast_policy_by_name("vandegeijn"), mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(bcast_policy_by_name("scatter-ring"),
-            mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(name_of(mpi::BcastAlgo::kVanDeGeijn), "vandegeijn");
-  for (auto algo :
-       {mpi::BcastAlgo::kBinomial, mpi::BcastAlgo::kVanDeGeijn,
-        mpi::BcastAlgo::kHierarchical, mpi::BcastAlgo::kPipeline})
-    EXPECT_EQ(bcast_policy_by_name(name_of(algo)), algo);
-  for (auto algo :
-       {mpi::AllreduceAlgo::kRecursiveDoubling,
-        mpi::AllreduceAlgo::kRabenseifner, mpi::AllreduceAlgo::kHierarchical})
-    EXPECT_EQ(allreduce_policy_by_name(name_of(algo)), algo);
-  for (auto algo : {mpi::AlltoallAlgo::kPairwise, mpi::AlltoallAlgo::kRing,
-                    mpi::AlltoallAlgo::kBruck})
-    EXPECT_EQ(alltoall_policy_by_name(name_of(algo)), algo);
-  for (auto algo :
-       {mpi::BarrierAlgo::kDissemination, mpi::BarrierAlgo::kTree})
-    EXPECT_EQ(barrier_policy_by_name(name_of(algo)), algo);
-  EXPECT_THROW(bcast_policy_by_name("quantum"), std::invalid_argument);
-  EXPECT_THROW(allreduce_policy_by_name(""), std::invalid_argument);
-}
-
 // --- selector decision rules ---------------------------------------------
 
+/// The default decision table with `ahead` in front of it.
+mpi::CollRules ahead_of_default(const mpi::CollRules& ahead) {
+  return *mpi::prepend(ahead, *mpi::ImplProfile{}.collectives);
+}
+
 TEST(Selector, DefaultTablesHonourTheCutoffs) {
-  mpi::CollectiveSuite suite;  // kVanDeGeijn bcast, kRabenseifner allreduce
-  suite.bcast = bcast_policy_by_name("vandegeijn");
-  suite.allreduce = allreduce_policy_by_name("rabenseifner");
-  auto chosen = [&suite](CollOp op, double bytes) {
-    return Selector::pick(suite, op, bytes, 16, 1).algo;
+  const mpi::CollRules table = *profiles::mpich2().collectives;
+  auto chosen = [&table](CollOp op, double bytes) {
+    return Selector::pick(table, op, bytes, 16, 1).algo;
   };
   EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff), "binomial");
   EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff + 1), "scatter-ring");
@@ -110,91 +89,149 @@ TEST(Selector, DefaultTablesHonourTheCutoffs) {
 }
 
 TEST(Selector, DefaultTablesAreTotal) {
-  mpi::CollectiveSuite suite;
-  for (auto op : {CollOp::kBcast, CollOp::kAllreduce, CollOp::kAlltoall,
-                  CollOp::kBarrier}) {
-    const auto& rules = Selector::default_rules(suite, op);
-    ASSERT_FALSE(rules.empty()) << mpi::to_string(op);
-    // The last rule is unbounded, so pick always returns something.
-    EXPECT_TRUE(Selector::matches(rules.back(), op, 1e18, 1 << 20, 64));
+  // The default table and every shipped profile's end each operation with
+  // an unbounded rule, so pick never throws on them.
+  std::vector<mpi::ImplProfile> impls = profiles::all_implementations();
+  impls.push_back(profiles::raw_tcp());
+  impls.push_back(profiles::mpich_g2());
+  impls.push_back(mpi::ImplProfile{});
+  for (const auto& p : impls) {
+    for (auto op : {CollOp::kBcast, CollOp::kAllreduce, CollOp::kAlltoall,
+                    CollOp::kBarrier}) {
+      const auto rules = Selector::effective_rules(*p.collectives, op);
+      ASSERT_FALSE(rules.empty()) << p.name << " " << mpi::to_string(op);
+      EXPECT_TRUE(Selector::matches(rules.back(), op, 1e18, 1 << 20, 64))
+          << p.name << " " << mpi::to_string(op);
+      EXPECT_TRUE(Selector::matches(rules.back(), op, 0, 1, 1))
+          << p.name << " " << mpi::to_string(op);
+    }
   }
 }
 
+TEST(Selector, PickThrowsWhenNoRuleMatches) {
+  const mpi::CollRules table = {
+      CollRule{.op = CollOp::kBcast, .algo = "binomial", .max_bytes = 1e3}};
+  EXPECT_EQ(Selector::pick(table, CollOp::kBcast, 500, 16, 1).algo,
+            "binomial");
+  // A gap in the size bands, an operation with no rule, an empty table.
+  EXPECT_THROW(Selector::pick(table, CollOp::kBcast, 2e3, 16, 1),
+               std::invalid_argument);
+  try {
+    Selector::pick(table, CollOp::kAllreduce, 500, 16, 1);
+    ADD_FAILURE() << "no allreduce rule, yet pick returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("allreduce"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Selector::pick({}, CollOp::kBarrier, 0, 16, 1),
+               std::invalid_argument);
+}
+
 TEST(Selector, FirstMatchingCustomRuleWins) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {
-      CollRule{.op = CollOp::kBcast, .algo = "pipeline", .max_bytes = 1e3},
-      CollRule{.op = CollOp::kBcast, .algo = "hierarchical"}};
-  EXPECT_EQ(Selector::pick(suite, CollOp::kBcast, 500, 16, 1).algo,
+  const mpi::CollRules table = ahead_of_default(
+      {CollRule{.op = CollOp::kBcast, .algo = "pipeline", .max_bytes = 1e3},
+       CollRule{.op = CollOp::kBcast, .algo = "hierarchical"}});
+  EXPECT_EQ(Selector::pick(table, CollOp::kBcast, 500, 16, 1).algo,
             "pipeline");
-  EXPECT_EQ(Selector::pick(suite, CollOp::kBcast, 2e3, 16, 1).algo,
+  EXPECT_EQ(Selector::pick(table, CollOp::kBcast, 2e3, 16, 1).algo,
             "hierarchical");
   // Other operations fall through to the defaults untouched.
-  EXPECT_EQ(Selector::pick(suite, CollOp::kAllreduce, 500, 16, 1).algo,
+  EXPECT_EQ(Selector::pick(table, CollOp::kAllreduce, 500, 16, 1).algo,
             "recursive-doubling");
 }
 
 TEST(Selector, RankBandsAndFallback) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {CollRule{.op = CollOp::kAlltoall,
-                             .algo = "bruck",
-                             .min_ranks = 32}};
-  EXPECT_EQ(Selector::pick(suite, CollOp::kAlltoall, 1e3, 64, 1).algo,
+  const mpi::CollRules table = ahead_of_default(
+      {CollRule{.op = CollOp::kAlltoall, .algo = "bruck", .min_ranks = 32}});
+  EXPECT_EQ(Selector::pick(table, CollOp::kAlltoall, 1e3, 64, 1).algo,
             "bruck");
-  // Below the rank band no custom rule matches: enum default (pairwise).
-  EXPECT_EQ(Selector::pick(suite, CollOp::kAlltoall, 1e3, 8, 1).algo,
+  // Below the rank band the next rule decides: the default's pairwise.
+  EXPECT_EQ(Selector::pick(table, CollOp::kAlltoall, 1e3, 8, 1).algo,
             "pairwise");
 }
 
 TEST(Selector, TopologyScopeNeedsSites) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {CollRule{.op = CollOp::kBcast,
-                             .algo = "hierarchical",
-                             .topo = TopoScope::kMultiSite},
-                    CollRule{.op = CollOp::kBcast,
-                             .algo = "scatter-ring",
-                             .topo = TopoScope::kSingleSite}};
-  EXPECT_TRUE(Selector::needs_sites(suite, CollOp::kBcast));
-  EXPECT_FALSE(Selector::needs_sites(suite, CollOp::kAllreduce));
-  EXPECT_EQ(Selector::pick(suite, CollOp::kBcast, 1e6, 16, 2).algo,
+  const mpi::CollRules table =
+      ahead_of_default({CollRule{.op = CollOp::kBcast,
+                                 .algo = "hierarchical",
+                                 .topo = TopoScope::kMultiSite},
+                        CollRule{.op = CollOp::kBcast,
+                                 .algo = "scatter-ring",
+                                 .topo = TopoScope::kSingleSite}});
+  EXPECT_TRUE(Selector::needs_sites(table, CollOp::kBcast));
+  EXPECT_FALSE(Selector::needs_sites(table, CollOp::kAllreduce));
+  EXPECT_FALSE(
+      Selector::needs_sites(*profiles::mpich_g2().collectives, CollOp::kBcast));
+  EXPECT_EQ(Selector::pick(table, CollOp::kBcast, 1e6, 16, 2).algo,
             "hierarchical");
-  EXPECT_EQ(Selector::pick(suite, CollOp::kBcast, 1e6, 16, 1).algo,
+  EXPECT_EQ(Selector::pick(table, CollOp::kBcast, 1e6, 16, 1).algo,
             "scatter-ring");
 }
 
 TEST(Selector, EffectiveRulesListsCustomThenDefaults) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {CollRule{.op = CollOp::kBcast, .algo = "pipeline"}};
-  const auto rules = Selector::effective_rules(suite, CollOp::kBcast);
-  ASSERT_GE(rules.size(), 2u);
-  EXPECT_EQ(rules.front().algo, "pipeline");
-  EXPECT_EQ(rules.back().algo,
-            Selector::default_rules(suite, CollOp::kBcast).back().algo);
+  const CollRule custom{.op = CollOp::kBcast, .algo = "pipeline"};
+  const mpi::CollRules table = *profiles::experiment(profiles::mpich2())
+                                     .selector({custom})
+                                     .build()
+                                     .profile.collectives;
+  // The builder's rule, then MPICH2's own bcast rules, in order.
+  mpi::CollRules expected = {custom};
+  for (const CollRule& r : Selector::effective_rules(
+           *profiles::mpich2().collectives, CollOp::kBcast))
+    expected.push_back(r);
+  EXPECT_EQ(Selector::effective_rules(table, CollOp::kBcast), expected);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_EQ(expected[1].algo, "binomial");
+  EXPECT_EQ(expected[2].algo, "scatter-ring");
 }
 
-// --- fluent builder knobs --------------------------------------------------
-
-TEST(BuilderKnobs, NamesResolveToEnumPolicies) {
-  const profiles::ExperimentConfig cfg = profiles::experiment(profiles::mpich2())
-                                             .bcast_algo("vandegeijn")
-                                             .allreduce_algo("rabenseifner")
-                                             .alltoall_algo("bruck")
-                                             .barrier_algo("tree");
-  EXPECT_EQ(cfg.profile.collectives.bcast, mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(cfg.profile.collectives.allreduce,
-            mpi::AllreduceAlgo::kRabenseifner);
-  EXPECT_EQ(cfg.profile.collectives.alltoall, mpi::AlltoallAlgo::kBruck);
-  EXPECT_EQ(cfg.profile.collectives.barrier, mpi::BarrierAlgo::kTree);
-  EXPECT_THROW(profiles::experiment(profiles::mpich2()).bcast_algo("nope"),
-               std::invalid_argument);
-}
+// --- the builder's collective knob -------------------------------------------
 
 TEST(BuilderKnobs, SelectorKnobInstallsRules) {
+  const mpi::CollTable base = profiles::gridmpi().collectives;
   const profiles::ExperimentConfig cfg =
       profiles::experiment(profiles::gridmpi())
           .selector({CollRule{.op = CollOp::kBcast, .algo = "pipeline"}});
-  ASSERT_EQ(cfg.profile.collectives.selector.size(), 1u);
-  EXPECT_EQ(cfg.profile.collectives.selector[0].algo, "pipeline");
+  const mpi::CollRules& table = *cfg.profile.collectives;
+  ASSERT_EQ(table.size(), base->size() + 1);
+  EXPECT_EQ(table.front().algo, "pipeline");
+  EXPECT_EQ(mpi::CollRules(table.begin() + 1, table.end()), *base);
+  // A new table: the profile's own, shared by its copies, is untouched.
+  EXPECT_EQ(profiles::gridmpi().collectives, base);
+  EXPECT_EQ(base->front().algo, "binomial");
+}
+
+TEST(BuilderKnobs, SelectorOverridesOnlyItsOwnBands) {
+  // A pipeline band for 64 kB..1 MB broadcasts: every other size, and
+  // every other operation, keeps MPICH2's choice and cutoffs.
+  const mpi::CollRules base = *profiles::mpich2().collectives;
+  const mpi::CollRules table =
+      *profiles::experiment(profiles::mpich2())
+          .selector({CollRule{.op = CollOp::kBcast,
+                              .algo = "pipeline",
+                              .min_bytes = 64e3,
+                              .max_bytes = 1e6}})
+          .tuning(profiles::TuningLevel::kFullyTuned)
+          .build()
+          .profile.collectives;
+  auto chosen = [&table](CollOp op, double bytes) {
+    return Selector::pick(table, op, bytes, 16, 2).algo;
+  };
+  EXPECT_EQ(chosen(CollOp::kBcast, 1e3), "binomial");
+  EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff), "binomial");
+  EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff + 1), "scatter-ring");
+  EXPECT_EQ(chosen(CollOp::kBcast, 64e3 - 1), "scatter-ring");
+  EXPECT_EQ(chosen(CollOp::kBcast, 64e3), "pipeline");
+  EXPECT_EQ(chosen(CollOp::kBcast, 1e6), "pipeline");
+  EXPECT_EQ(chosen(CollOp::kBcast, 1e6 + 1), "scatter-ring");
+  EXPECT_EQ(chosen(CollOp::kAllreduce, kAllreduceSmallCutoff),
+            "recursive-doubling");
+  EXPECT_EQ(chosen(CollOp::kAllreduce, kAllreduceSmallCutoff + 1),
+            "rabenseifner");
+  for (auto op : {CollOp::kAllreduce, CollOp::kAlltoall, CollOp::kBarrier})
+    EXPECT_EQ(Selector::effective_rules(table, op),
+              Selector::effective_rules(base, op))
+        << mpi::to_string(op);
 }
 
 // --- guideline harness -----------------------------------------------------
@@ -216,8 +253,10 @@ TEST(Guidelines, CleanTableHasNoViolationsOnTheCluster) {
 }
 
 TEST(Guidelines, MisruledSelectorIsCaughtOnTheCyclicGrid) {
-  mpi::ImplProfile impl = profiles::mpich2();
-  impl.collectives.selector = misruled_selector();
+  const mpi::ImplProfile impl = profiles::experiment(profiles::mpich2())
+                                    .selector(misruled_selector())
+                                    .build()
+                                    .profile;
   GuidelineOptions opt;
   opt.sizes = {1e3, 64e3};
   opt.cyclic = true;  // interleave ranks across sites: the adversarial order

@@ -16,11 +16,9 @@ namespace {
 using mpi::ImplProfile;
 using mpi::Rank;
 
-/// A suite whose selector unconditionally picks the named algorithm.
-mpi::CollectiveSuite force(mpi::CollOp op, std::string algo) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {mpi::CollRule{.op = op, .algo = std::move(algo)}};
-  return suite;
+/// A rule that unconditionally picks the named algorithm for `op`.
+mpi::CollRules force(mpi::CollOp op, std::string algo) {
+  return {mpi::CollRule{.op = op, .algo = std::move(algo)}};
 }
 
 Task<void> timed(std::function<Task<void>(Rank&)> body, Rank* r,
@@ -29,15 +27,17 @@ Task<void> timed(std::function<Task<void>(Rank&)> body, Rank* r,
   *finish = r->sim().now();
 }
 
+/// Runs `body` on `nranks` under the default decision table with `ahead`
+/// in front of it.
 SimTime run_group(const topo::GridSpec& spec, int nranks,
-                  mpi::CollectiveSuite suite,
+                  const mpi::CollRules& ahead,
                   std::function<Task<void>(Rank&)> body,
                   mpi::TrafficStats* stats = nullptr) {
   Simulation sim;
   topo::Grid grid(sim, spec);
   ImplProfile p;
   p.eager_threshold = 1e12;
-  p.collectives = suite;
+  p.collectives = mpi::prepend(ahead, *p.collectives);
   mpi::Job job(grid, mpi::block_placement(grid, nranks), p,
                tcp::KernelTunables::grid_tuned());
   std::vector<SimTime> finish(static_cast<size_t>(nranks), 0);
@@ -112,11 +112,11 @@ INSTANTIATE_TEST_SUITE_P(Counts, ReduceScatterSweep,
 TEST(CollectivesExtra, ReduceScatterCheaperThanAllreduce) {
   // Reduce-scatter is the first half of Rabenseifner's allreduce: it must
   // not be slower than the full allreduce.
-  const auto suite = force(mpi::CollOp::kAllreduce, "rabenseifner");
+  const auto rules = force(mpi::CollOp::kAllreduce, "rabenseifner");
   const SimTime rs =
-      run_group(topo::GridSpec::rennes_nancy(8), 16, suite,
+      run_group(topo::GridSpec::rennes_nancy(8), 16, rules,
                 [](Rank& r) { return reduce_scatter_body(r, 1e6); });
-  const SimTime ar = run_group(topo::GridSpec::rennes_nancy(8), 16, suite,
+  const SimTime ar = run_group(topo::GridSpec::rennes_nancy(8), 16, rules,
                                [](Rank& r) -> Task<void> {
                                  co_await allreduce(r, 1e6);
                                });
@@ -164,12 +164,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{"pipeline", 1e6}));
 
 TEST(CollectivesExtra, HierarchicalHandlesFourSites) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {
+  const mpi::CollRules rules = {
       mpi::CollRule{.op = mpi::CollOp::kBcast, .algo = "hierarchical"},
       mpi::CollRule{.op = mpi::CollOp::kAllreduce, .algo = "hierarchical"}};
   const SimTime end = run_group(
-      topo::GridSpec::ray2mesh_quad(4), 16, suite, [](Rank& r) -> Task<void> {
+      topo::GridSpec::ray2mesh_quad(4), 16, rules, [](Rank& r) -> Task<void> {
         co_await bcast(r, 3, 512e3);
         co_await allreduce(r, 64e3);
         co_await barrier(r);

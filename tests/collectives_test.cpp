@@ -1,11 +1,13 @@
 // Tests for the collective algorithms: termination, traffic volumes, and
 // the WAN-awareness properties the paper relies on. Algorithms are selected
-// by registry name through declarative selector rules (coll_rules.hpp), the
-// same path `ExperimentBuilder::bcast_algo(...)` and the shipped decision
-// tables use.
+// by registry name through a rule put ahead of the default decision table
+// (coll_rules.hpp), the same path `ExperimentBuilder::selector(...)` and
+// the shipped decision tables use.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/collectives.hpp"
@@ -20,21 +22,21 @@ using namespace gridsim::literals;
 using mpi::ImplProfile;
 using mpi::Rank;
 
-ImplProfile profile_with(mpi::CollectiveSuite suite) {
+/// A test profile whose decision table is the default one with `ahead`
+/// in front of it.
+ImplProfile profile_with(const mpi::CollRules& ahead = {}) {
   ImplProfile p;
   p.name = "test";
   p.send_overhead = microseconds(2);
   p.recv_overhead = microseconds(2);
   p.eager_threshold = 1e9;  // keep protocol out of the picture
-  p.collectives = suite;
+  p.collectives = mpi::prepend(ahead, *p.collectives);
   return p;
 }
 
-/// A suite whose selector unconditionally picks the named algorithm.
-mpi::CollectiveSuite force(mpi::CollOp op, std::string algo) {
-  mpi::CollectiveSuite suite;
-  suite.selector = {mpi::CollRule{.op = op, .algo = std::move(algo)}};
-  return suite;
+/// A rule that unconditionally picks the named algorithm for `op`.
+mpi::CollRules force(mpi::CollOp op, std::string algo) {
+  return {mpi::CollRule{.op = op, .algo = std::move(algo)}};
 }
 
 Task<void> timed_body(std::function<Task<void>(Rank&)> body, Rank* r,
@@ -72,7 +74,7 @@ Task<void> staggered_barrier_body(Rank& r, std::vector<SimTime>* after) {
 
 TEST(Collectives, BarrierSynchronisesAllRanks) {
   std::vector<SimTime> after(8, -1);
-  run_spmd(topo::GridSpec::rennes_nancy(4), 8, profile_with({}),
+  run_spmd(topo::GridSpec::rennes_nancy(4), 8, profile_with(),
            [&after](Rank& r) { return staggered_barrier_body(r, &after); });
   // Nobody leaves before the last arrival (7 ms).
   for (auto t : after) EXPECT_GE(t, 7_ms);
@@ -80,7 +82,7 @@ TEST(Collectives, BarrierSynchronisesAllRanks) {
 
 TEST(Collectives, BarrierSingleRankIsNoop) {
   const SimTime end = run_spmd(
-      topo::GridSpec::single_cluster(1), 1, profile_with({}),
+      topo::GridSpec::single_cluster(1), 1, profile_with(),
       [](Rank& r) -> Task<void> { co_await barrier(r); });
   EXPECT_EQ(end, 0);
 }
@@ -192,7 +194,7 @@ TEST(Collectives, HierarchicalAllreduceReducesWanTraffic) {
 
 TEST(Collectives, ReduceGatherScatterAllgatherComplete) {
   const SimTime end = run_spmd(
-      topo::GridSpec::rennes_nancy(4), 8, profile_with({}),
+      topo::GridSpec::rennes_nancy(4), 8, profile_with(),
       [](Rank& r) -> Task<void> {
         co_await reduce(r, 0, 32e3);
         co_await gather(r, 0, 8e3);
@@ -204,7 +206,7 @@ TEST(Collectives, ReduceGatherScatterAllgatherComplete) {
 
 TEST(Collectives, GatherMovesAggregateVolume) {
   mpi::TrafficStats stats;
-  run_spmd(topo::GridSpec::single_cluster(8), 8, profile_with({}),
+  run_spmd(topo::GridSpec::single_cluster(8), 8, profile_with(),
            [](Rank& r) -> Task<void> { co_await gather(r, 0, 1000); },
            &stats);
   // Binomial gather total traffic: each non-root block travels >= once.
@@ -215,7 +217,7 @@ TEST(Collectives, GatherMovesAggregateVolume) {
 
 TEST(Collectives, AlltoallExchangesAllPairs) {
   mpi::TrafficStats stats;
-  run_spmd(topo::GridSpec::single_cluster(8), 8, profile_with({}),
+  run_spmd(topo::GridSpec::single_cluster(8), 8, profile_with(),
            [](Rank& r) -> Task<void> { co_await alltoall(r, 500); }, &stats);
   // 8 ranks x 7 peers x 500 B (self excluded, zero-byte fillers allowed).
   EXPECT_NEAR(stats.collective_bytes, 8 * 7 * 500.0, 1.0);
@@ -223,7 +225,7 @@ TEST(Collectives, AlltoallExchangesAllPairs) {
 
 TEST(Collectives, AlltoallvHandlesAsymmetricSizes) {
   const SimTime end = run_spmd(
-      topo::GridSpec::rennes_nancy(2), 4, profile_with({}),
+      topo::GridSpec::rennes_nancy(2), 4, profile_with(),
       [](Rank& r) -> Task<void> {
         std::vector<double> sizes(4, 0.0);
         // Rank i sends i kB to every other rank.
@@ -245,15 +247,58 @@ Task<void> bad_alltoallv_body(Rank& r, bool* threw) {
 
 TEST(Collectives, AlltoallvValidatesSizes) {
   bool threw = false;
-  run_spmd(topo::GridSpec::single_cluster(2), 2, profile_with({}),
+  run_spmd(topo::GridSpec::single_cluster(2), 2, profile_with(),
            [&threw](Rank& r) { return bad_alltoallv_body(r, &threw); });
   EXPECT_TRUE(threw);
+}
+
+/// Runs one `op` call and keeps the message of the std::invalid_argument
+/// it throws on this rank.
+Task<void> catching_body(Rank& r, mpi::CollOp op,
+                         std::vector<std::string>* what) {
+  try {
+    switch (op) {
+      case mpi::CollOp::kBcast:
+        co_await bcast(r, 0, 64e3);
+        break;
+      case mpi::CollOp::kAllreduce:
+        co_await allreduce(r, 64e3);
+        break;
+      case mpi::CollOp::kAlltoall:
+        co_await alltoall(r, 1e3);
+        break;
+      case mpi::CollOp::kBarrier:
+        co_await barrier(r);
+        break;
+    }
+  } catch (const std::invalid_argument& e) {
+    (*what)[static_cast<size_t>(r.rank())] = e.what();
+  }
+}
+
+TEST(Collectives, UnknownAlgorithmNameThrows) {
+  // The dispatch check: a picked rule whose name no registry entry has
+  // throws at the call, on every rank, before any message moves.
+  for (const auto op : {mpi::CollOp::kBcast, mpi::CollOp::kAllreduce,
+                        mpi::CollOp::kAlltoall, mpi::CollOp::kBarrier}) {
+    std::vector<std::string> what(4);
+    mpi::TrafficStats stats;
+    run_spmd(topo::GridSpec::rennes_nancy(2), 4,
+             profile_with(force(op, "no-such-algo")),
+             [op, &what](Rank& r) { return catching_body(r, op, &what); },
+             &stats);
+    for (const std::string& w : what) {
+      EXPECT_NE(w.find(mpi::to_string(op) + ":"), std::string::npos) << w;
+      EXPECT_NE(w.find("'no-such-algo'"), std::string::npos) << w;
+    }
+    EXPECT_EQ(stats.collective_bytes, 0) << mpi::to_string(op);
+  }
 }
 
 TEST(Collectives, CollectivesComposeInSequence) {
   // A mini NPB-like iteration: allreduce + bcast + barrier, several times.
   const SimTime end = run_spmd(
-      topo::GridSpec::rennes_nancy(8), 16, profile_with({}),
+      topo::GridSpec::rennes_nancy(8), 16, profile_with(),
       [](Rank& r) -> Task<void> {
         for (int i = 0; i < 5; ++i) {
           co_await allreduce(r, 8);

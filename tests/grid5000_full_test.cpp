@@ -77,8 +77,9 @@ SimTime run_alltoall(const char* algo, const topo::GridSpec& spec,
   topo::Grid grid(sim, spec);
   mpi::ImplProfile p;
   p.eager_threshold = 1e12;
-  p.collectives.selector = {
-      mpi::CollRule{.op = mpi::CollOp::kAlltoall, .algo = algo}};
+  p.collectives = mpi::prepend(
+      {mpi::CollRule{.op = mpi::CollOp::kAlltoall, .algo = algo}},
+      *p.collectives);
   mpi::Job job(grid, mpi::block_placement(grid, nranks), p,
                tcp::KernelTunables::grid_tuned());
   std::vector<SimTime> finish(static_cast<size_t>(nranks), 0);

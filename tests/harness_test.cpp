@@ -2,6 +2,14 @@
 // properties, slow-start series, and the NPB campaign runner.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "harness/npb_campaign.hpp"
 #include "harness/pingpong.hpp"
 #include "harness/report.hpp"
@@ -28,6 +36,49 @@ TEST(Report, Pow2SizesEndpoints) {
   EXPECT_EQ(sizes.size(), 17u);  // 1k..64M inclusive
   EXPECT_DOUBLE_EQ(sizes.front(), 1024);
   EXPECT_DOUBLE_EQ(sizes.back(), 64.0 * 1024 * 1024);
+}
+
+TEST(Harness, Pow2SizesRejectsBadBounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Each of these doubled forever before: 0 stays 0, a negative start runs
+  // to -inf, an infinite end is never passed.
+  for (const auto& [from, to] :
+       std::vector<std::pair<double, double>>{{0, 1024},
+                                              {-1, 1024},
+                                              {1024, kInf},
+                                              {kInf, kInf},
+                                              {-kInf, 1024},
+                                              {kNaN, 1024},
+                                              {1024, kNaN},
+                                              {2048, 1024}}) {
+    try {
+      pow2_sizes(from, to);
+      ADD_FAILURE() << "pow2_sizes(" << from << ", " << to << ") returned";
+    } catch (const std::invalid_argument& e) {
+      // The message names the offending bounds.
+      std::ostringstream want;
+      want << "from=" << from << ", to=" << to;
+      EXPECT_NE(std::string(e.what()).find(want.str()), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(pow2_sizes(1024, 1024), std::vector<double>{1024});
+  // An end so close to the largest double that `to * 1.001` overflows.
+  const auto huge = pow2_sizes(1, 1.79e308);
+  EXPECT_EQ(huge.size(), 1024u);  // 2^0 .. 2^1023
+  EXPECT_TRUE(std::isfinite(huge.back()));
+}
+
+TEST(Harness, PingpongSweepRejectsZeroRounds) {
+  PingpongOptions options;
+  options.sizes = {1024};
+  options.rounds = 0;
+  EXPECT_THROW(pingpong_sweep(topo::GridSpec::single_cluster(2),
+                              {0, 0, 0, 1},
+                              profiles::experiment(profiles::mpich2()),
+                              options),
+               std::invalid_argument);
 }
 
 profiles::ExperimentConfig tuned() {

@@ -102,7 +102,8 @@ SimTime run_alltoall(const char* algo, double bytes,
   topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
   ImplProfile p;
   p.eager_threshold = 1e12;
-  p.collectives.selector = {CollRule{.op = CollOp::kAlltoall, .algo = algo}};
+  p.collectives = mpi::prepend(
+      {CollRule{.op = CollOp::kAlltoall, .algo = algo}}, *p.collectives);
   Job job(grid, block_placement(grid, 16), p,
           tcp::KernelTunables::grid_tuned());
   std::vector<SimTime> finish(16, 0);

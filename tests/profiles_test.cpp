@@ -2,6 +2,14 @@
 // against the paper's published numbers (Tables 4 and 5, Figures 3/5/6/7).
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "collectives/selector.hpp"
 #include "harness/pingpong.hpp"
 #include "profiles/profiles.hpp"
 
@@ -64,6 +72,92 @@ TEST(Profiles, ToStringCoversAllLevels) {
   EXPECT_EQ(to_string(TuningLevel::kDefault), "default");
   EXPECT_EQ(to_string(TuningLevel::kTcpTuned), "tcp-tuned");
   EXPECT_EQ(to_string(TuningLevel::kFullyTuned), "fully-tuned");
+}
+
+// --- Table 1: collective decision tables ----------------------------------
+
+struct PinnedRule {
+  std::string algo;
+  double min_bytes;
+  double max_bytes;
+};
+
+struct PinnedTable {
+  std::vector<PinnedRule> bcast, allreduce, alltoall, barrier;
+};
+
+/// The first pinned rule whose size band holds `bytes`.
+std::string pinned_pick(const std::vector<PinnedRule>& rules, double bytes) {
+  for (const PinnedRule& r : rules)
+    if (bytes >= r.min_bytes && bytes <= r.max_bytes) return r.algo;
+  return "(none)";
+}
+
+TEST(Profiles, CollectiveTablesArePinned) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kBcastCut = 12 * 1024;
+  constexpr double kAllreduceCut = 2 * 1024;
+  // Table 1: van de Geijn bcast and Rabenseifner allreduce above the
+  // small-message cutoffs (MPICH2, OpenMPI); WAN-aware hierarchical ones
+  // (GridMPI, MPICH-G2); binomial and recursive doubling at every size
+  // otherwise.
+  const PinnedTable oblivious = {
+      {{"binomial", 0, kInf}},
+      {{"recursive-doubling", 0, kInf}},
+      {{"pairwise", 0, kInf}},
+      {{"dissemination", 0, kInf}}};
+  const PinnedTable vandegeijn = {
+      {{"binomial", 0, kBcastCut}, {"scatter-ring", 0, kInf}},
+      {{"recursive-doubling", 0, kAllreduceCut}, {"rabenseifner", 0, kInf}},
+      {{"pairwise", 0, kInf}},
+      {{"dissemination", 0, kInf}}};
+  const PinnedTable wan_aware = {
+      {{"binomial", 0, kBcastCut}, {"hierarchical", 0, kInf}},
+      {{"hierarchical", 0, kInf}},
+      {{"pairwise", 0, kInf}},
+      {{"dissemination", 0, kInf}}};
+  const std::vector<std::pair<mpi::ImplProfile, PinnedTable>> cases = {
+      {mpich2(), vandegeijn},        {gridmpi(), wan_aware},
+      {mpich_madeleine(), oblivious}, {openmpi(), vandegeijn},
+      {raw_tcp(), oblivious},        {mpich_g2(), wan_aware}};
+  EXPECT_DOUBLE_EQ(coll::kBcastSmallCutoff, kBcastCut);
+  EXPECT_DOUBLE_EQ(coll::kAllreduceSmallCutoff, kAllreduceCut);
+  const std::vector<double> sizes = {1,         kAllreduceCut, kAllreduceCut + 1,
+                                     kBcastCut, kBcastCut + 1, 1 << 20};
+  for (const auto& [profile, table] : cases) {
+    const std::pair<mpi::CollOp, const std::vector<PinnedRule>*> ops[] = {
+        {mpi::CollOp::kBcast, &table.bcast},
+        {mpi::CollOp::kAllreduce, &table.allreduce},
+        {mpi::CollOp::kAlltoall, &table.alltoall},
+        {mpi::CollOp::kBarrier, &table.barrier}};
+    for (const auto& [op, expected] : ops) {
+      const std::string where = profile.name + " " + mpi::to_string(op);
+      const mpi::CollRules listed =
+          coll::Selector::effective_rules(*profile.collectives, op);
+      ASSERT_EQ(listed.size(), expected->size()) << where;
+      for (std::size_t i = 0; i < listed.size(); ++i) {
+        const auto& want = (*expected)[i];
+        EXPECT_EQ(listed[i].op, op) << where << " rule " << i;
+        EXPECT_EQ(listed[i].algo, want.algo) << where << " rule " << i;
+        EXPECT_DOUBLE_EQ(listed[i].min_bytes, want.min_bytes)
+            << where << " rule " << i;
+        EXPECT_EQ(listed[i].max_bytes, want.max_bytes)
+            << where << " rule " << i;
+        EXPECT_EQ(listed[i].min_ranks, 0) << where << " rule " << i;
+        EXPECT_EQ(listed[i].max_ranks, INT_MAX) << where << " rule " << i;
+        EXPECT_EQ(listed[i].topo, mpi::TopoScope::kAny)
+            << where << " rule " << i;
+      }
+      for (const double bytes : sizes)
+        for (const int nsites : {1, 2})
+          EXPECT_EQ(coll::Selector::pick(*profile.collectives, op, bytes, 16,
+                                         nsites)
+                        .algo,
+                    pinned_pick(*expected, bytes))
+              << where << " at " << bytes << " B on " << nsites
+              << " site(s)";
+    }
+  }
 }
 
 // --- Table 4: one-way latencies ------------------------------------------

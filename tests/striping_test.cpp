@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "collectives/selector.hpp"
 #include "mpi/mpi.hpp"
 #include "profiles/profiles.hpp"
 #include "simcore/simulation.hpp"
@@ -129,7 +130,15 @@ TEST(Striping, ProfileWiring) {
   const auto p = profiles::mpich_g2();
   EXPECT_EQ(p.name, "MPICH-G2");
   EXPECT_EQ(p.wan_parallel_streams, 4);
-  EXPECT_TRUE(p.collectives.topology_aware);
+  // Topology-aware collectives: a 64 kB bcast and allreduce over two sites
+  // take the hierarchical algorithms, which cross the WAN once.
+  EXPECT_EQ(coll::Selector::pick(*p.collectives, CollOp::kBcast, 64e3, 16, 2)
+                .algo,
+            "hierarchical");
+  EXPECT_EQ(
+      coll::Selector::pick(*p.collectives, CollOp::kAllreduce, 64e3, 16, 2)
+          .algo,
+      "hierarchical");
   // Not one of the paper's four evaluated implementations.
   for (const auto& q : profiles::all_implementations())
     EXPECT_NE(q.name, "MPICH-G2");
