@@ -78,8 +78,12 @@ COUNT="$(wc -l < "$WORKDIR/serial.digests")"
 echo "check_campaign: $COUNT scenario digests identical at --jobs 1, at --jobs $JOBS and on the oracle solver (filter '$FILTER')"
 
 if [[ -n "$BASE" ]]; then
-  # rows FILE: the report's scenario rows, one per line, minus wall time.
-  rows() { grep '^ *{"name": ' "$1" | sed -E 's/"wall_s": [-+0-9.eE]+, //'; }
+  # rows FILE: the report's scenario rows, one per line, minus wall time
+  # and minus the comma that ends every row but the last, so a row compares
+  # equal wherever it falls in either report.
+  rows() {
+    grep '^ *{"name": ' "$1" | sed -E 's/"wall_s": [-+0-9.eE]+, //; s/,$//'
+  }
   rows "$BASE" > "$WORKDIR/base.rows"
   for run in serial parallel oracle; do
     rows "$WORKDIR/$run/CAMPAIGN.json" > "$WORKDIR/$run.rows"

@@ -13,7 +13,8 @@
 #   asan     ASan+UBSan build, the full ctest (stress label included), the
 #            sanitized campaign subsets (robust/*, table4*, coll/*) and two
 #            bounded model-checker runs. Reports go to ci-results/.
-#   tsan     TSan build, the fast ctest and a threaded campaign check.
+#   tsan     TSan build, the fast ctest and two threaded campaign checks:
+#            table4* (runner-built Simulations) and mc/* (closure-built).
 #   static   clang-tidy and clang-format (scripts/run_static_analysis.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,6 +59,9 @@ stage_tsan() {
   step cmake --build --preset tsan -j "$NPROC"
   step ctest --preset tsan -L fast -j "$NPROC"
   step scripts/check_campaign.sh 'table4*' 8 build-tsan/src/tools/gridsim
+  # The mc/* closures build their own Simulations, each reading its
+  # worker's thread-local hooks guard at construction.
+  step scripts/check_campaign.sh 'mc/*' 8 build-tsan/src/tools/gridsim
 }
 
 stage_static() {

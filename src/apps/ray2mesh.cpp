@@ -70,9 +70,8 @@ Task<void> slave_body(Rank& r, const Ray2MeshConfig* app) {
 
 Ray2MeshResult run_ray2mesh(const topo::GridSpec& spec, int master_site,
                             const profiles::ExperimentConfig& cfg,
-                            const Ray2MeshConfig& app, const SimHooks& hooks) {
+                            const Ray2MeshConfig& app) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   auto faults = topo::install_faults(grid, cfg.faults);
   // Rank 0: master, co-located with the first slave of its cluster.
@@ -90,7 +89,6 @@ Ray2MeshResult run_ray2mesh(const topo::GridSpec& spec, int master_site,
   for (int s = 1; s < job.size(); ++s)
     sim.spawn(slave_body(job.rank(s), &app));
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
 
   Ray2MeshResult result;
   result.rays_per_slave.reserve(sh.sets_per_slave.size());

@@ -50,7 +50,6 @@ struct Ray2MeshResult {
 /// master co-located on node 0 of `master_site`).
 Ray2MeshResult run_ray2mesh(const topo::GridSpec& spec, int master_site,
                             const profiles::ExperimentConfig& cfg,
-                            const Ray2MeshConfig& app = {},
-                            const SimHooks& hooks = {});
+                            const Ray2MeshConfig& app = {});
 
 }  // namespace gridsim::apps

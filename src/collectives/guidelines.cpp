@@ -25,10 +25,8 @@ using mpi::Rank;
 /// return value is not the app's makespan).
 double measure(const topo::GridSpec& spec, const mpi::ImplProfile& profile,
                const tcp::KernelTunables& kernel, int nranks, bool cyclic,
-               const SimHooks& hooks,
                const std::function<Task<void>(Rank&)>& body) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   mpi::Job job(grid,
                cyclic ? mpi::cyclic_placement(grid, nranks)
@@ -40,7 +38,6 @@ double measure(const topo::GridSpec& spec, const mpi::ImplProfile& profile,
     finish[static_cast<size_t>(r.rank())] = r.sim().now();
   });
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
   SimTime worst = 0;
   for (SimTime t : finish) worst = std::max(worst, t);
   return to_seconds(worst);
@@ -65,8 +62,7 @@ SizeTimes measure_size(const topo::GridSpec& spec,
   const int p = opt.nranks;
   const double per_rank = bytes / p;
   auto run = [&](std::function<Task<void>(Rank&)> body) {
-    return measure(spec, profile, kernel, p, opt.cyclic, opt.hooks,
-                   std::move(body));
+    return measure(spec, profile, kernel, p, opt.cyclic, std::move(body));
   };
   SizeTimes t;
   t.allreduce = run(

@@ -65,8 +65,6 @@ struct GuidelineOptions {
   bool cyclic = false;
   double composition_tolerance = kCompositionTolerance;
   double monotone_tolerance = kMonotoneTolerance;
-  /// Observed around every Simulation the sweep runs (campaign digesting).
-  SimHooks hooks;
 };
 
 /// One evaluated guideline instance.
@@ -93,8 +91,8 @@ struct GuidelineReport {
 };
 
 /// Runs the guideline sweep for one profile on one deployment. Builds its
-/// own Simulations (one per measured composition), so it composes with the
-/// campaign's digest hooks via `opt.hooks`.
+/// own Simulations (one per measured composition); a campaign digests them
+/// like any other, through its thread's hooks guard (simcore/simulation.hpp).
 GuidelineReport verify_guidelines(const topo::GridSpec& spec,
                                   const std::string& topology_label,
                                   const mpi::ImplProfile& profile,

@@ -7,12 +7,15 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "harness/determinism.hpp"
 #include "simcore/check.hpp"
 #include "simcore/json.hpp"
+#include "simcore/simulation.hpp"
 #include "simcore/trace.hpp"
 
 namespace gridsim::harness {
@@ -27,7 +30,7 @@ double now_wall_s() {
 
 /// Streaming digest state for one scenario. Lives on the worker's stack for
 /// the duration of the scenario, so the hooks' raw pointer captures are
-/// safe: every simulation a scenario runs completes inside its run().
+/// safe: every simulation a scenario runs is destroyed inside its run().
 struct DigestState {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
@@ -71,6 +74,21 @@ SimHooks digest_hooks(DigestState* state) {
   return hooks;
 }
 
+/// The wall-clock deadline `budget_s` seconds from now, or none when it lies
+/// beyond what steady_clock can represent: such a budget never expires, and
+/// converting it would overflow the clock's 64-bit tick count into a
+/// deadline in the past.
+std::optional<std::chrono::steady_clock::time_point> deadline_after(
+    double budget_s) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const Clock::duration headroom = Clock::time_point::max() - now;
+  const std::chrono::duration<double> budget(budget_s);
+  // Compared in floating point, so the tick conversion below stays in range.
+  if (!(budget < headroom)) return std::nullopt;
+  return now + std::chrono::duration_cast<Clock::duration>(budget);
+}
+
 ScenarioOutcome run_one(const ScenarioSpec& spec,
                         const CampaignOptions& options) {
   ScenarioOutcome out;
@@ -82,7 +100,8 @@ ScenarioOutcome run_one(const ScenarioSpec& spec,
 
   ScenarioContext ctx;
   ctx.seed = options.seed;
-  if (options.digests) ctx.hooks = digest_hooks(&state);
+  SimHooks hooks;
+  if (options.digests) hooks = digest_hooks(&state);
 
   // Comm-event recording is passive (it never touches the Tracer or the
   // event order), so digests are identical with lint on or off.
@@ -98,20 +117,20 @@ ScenarioOutcome run_one(const ScenarioSpec& spec,
   std::optional<ScopedLeakExemption> leak_exemption;
   if (options.timeout_s > 0) {
     leak_exemption.emplace();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.timeout_s));
-    const SimHooks inner = ctx.hooks;
-    ctx.hooks.on_start = [inner, deadline](Simulation& sim) {
-      sim.set_wall_deadline(deadline);
-      if (inner.on_start) inner.on_start(sim);
-    };
-    ctx.hooks.on_finish = inner.on_finish;
+    if (const auto deadline = deadline_after(options.timeout_s)) {
+      hooks.on_start = [digest = std::move(hooks.on_start),
+                        at = *deadline](Simulation& sim) {
+        sim.set_wall_deadline(at);
+        if (digest) digest(sim);
+      };
+    }
   }
 
   const double t0 = now_wall_s();
   try {
+    // Every Simulation the scenario builds, however deep in a runner,
+    // reports to `hooks` (simcore/simulation.hpp).
+    const ScopedSimHooks observe(&hooks);
     out.result = spec.run(ctx);
     out.ok = true;
     out.status = "ok";
@@ -177,6 +196,11 @@ std::size_t CampaignReport::failures() const {
 CampaignReport run_campaign(const ScenarioRegistry& registry,
                             const CampaignOptions& options,
                             const CampaignProgress& progress) {
+  // Written so that NaN fails too.
+  if (!(options.timeout_s >= 0))
+    throw std::invalid_argument(
+        "run_campaign: timeout_s must be >= 0 seconds, got " +
+        std::to_string(options.timeout_s));
   CampaignReport report;
   report.filter = options.filter;
   report.seed = options.seed;

@@ -39,7 +39,9 @@ struct CampaignOptions {
   /// Per-scenario wall-clock watchdog in seconds; 0 = none. A scenario that
   /// exceeds it is stopped at the next event boundary of whichever
   /// Simulation it is running (TimeoutError), reported with
-  /// `status == "timeout"`, and the rest of the campaign proceeds.
+  /// `status == "timeout"`, and the rest of the campaign proceeds. A budget
+  /// past the steady clock's range (about 292 years) arms none;
+  /// run_campaign throws std::invalid_argument for a negative or NaN one.
   double timeout_s = 0;
   /// Record each scenario's comm-event log and run the simlint
   /// happens-before analysis over it (docs/race-detection.md), filling the

@@ -1,6 +1,7 @@
 #include "harness/npb_campaign.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "simcore/simulation.hpp"
@@ -21,8 +22,9 @@ NpbRunResult run_npb(const topo::GridSpec& spec, int nranks, npb::Kernel k,
                      npb::Class c, const profiles::ExperimentConfig& cfg,
                      SimTime timeout, const SimHooks& hooks) {
   npb::validate_ranks(k, nranks);
+  std::optional<ScopedSimHooks> own_hooks;
+  if (hooks.on_start || hooks.on_finish) own_hooks.emplace(&hooks);
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   auto faults = topo::install_faults(grid, cfg.faults);
   mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
@@ -46,7 +48,6 @@ NpbRunResult run_npb(const topo::GridSpec& spec, int nranks, npb::Kernel k,
                         : *std::max_element(finish.begin(), finish.end());
   result.traffic = job.traffic();
   result.degraded_progress_events = job.degraded_progress_events();
-  if (hooks.on_finish) hooks.on_finish(sim);
   return result;
 }
 

@@ -22,6 +22,12 @@ struct NpbRunResult {
 /// walltime limit (their MPICH-Madeleine BT/SP runs "timed out"); 0 = no
 /// limit. A timed-out result reports the partial traffic and
 /// makespan = timeout.
+///
+/// Like every runner, the Simulation reports to the thread's ScopedSimHooks
+/// guard. Non-empty `hooks` are installed as that guard for this one run
+/// instead: the benchmark's NPB cells arm their per-cell wall-clock
+/// watchdog through it, which is why this runner alone keeps a hooks
+/// parameter.
 NpbRunResult run_npb(const topo::GridSpec& spec, int nranks, npb::Kernel k,
                      npb::Class c, const profiles::ExperimentConfig& cfg,
                      SimTime timeout = 0, const SimHooks& hooks = {});

@@ -77,15 +77,13 @@ std::vector<double> pow2_sizes(double from, double to) {
 std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
                                           const PingpongEndpoints& ends,
                                           const profiles::ExperimentConfig& cfg,
-                                          const PingpongOptions& options,
-                                          const SimHooks& hooks) {
+                                          const PingpongOptions& options) {
   // With no round trip a point would report kSimTimeNever as its latency.
   if (options.rounds < 1)
     throw std::invalid_argument("pingpong_sweep: rounds must be at least 1, "
                                 "got " +
                                 std::to_string(options.rounds));
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   auto faults = topo::install_faults(grid, cfg.faults);
   mpi::Job job(grid, endpoint_placement(grid, ends), cfg.profile, cfg.kernel);
@@ -94,18 +92,17 @@ std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
   sim.spawn(ping_side(job.rank(0), &state));
   sim.spawn(pong_side(job.rank(1), &options));
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
   return std::move(state.points);
 }
 
 SimTime pingpong_min_latency(const topo::GridSpec& spec,
                              const PingpongEndpoints& ends,
                              const profiles::ExperimentConfig& cfg,
-                             int rounds, const SimHooks& hooks) {
+                             int rounds) {
   PingpongOptions options;
   options.sizes = {1.0};
   options.rounds = rounds;
-  const auto points = pingpong_sweep(spec, ends, cfg, options, hooks);
+  const auto points = pingpong_sweep(spec, ends, cfg, options);
   return points.at(0).min_one_way;
 }
 
@@ -158,9 +155,8 @@ Task<void> cross_traffic_body(Simulation* sim, tcp::TcpChannel* ch,
 std::vector<SlowstartSample> slowstart_series(
     const topo::GridSpec& spec, const PingpongEndpoints& ends,
     const profiles::ExperimentConfig& cfg, double bytes, int count,
-    const CrossTraffic& cross, const SimHooks& hooks) {
+    const CrossTraffic& cross) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   // Validate before spawning anything: a throw after spawn() would abandon
   // the suspended process frames (they only run and self-destroy once
@@ -191,7 +187,6 @@ std::vector<SlowstartSample> slowstart_series(
                                  cross.burst_bytes, cross.period, bursts));
   }
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
   return std::move(state.samples);
 }
 

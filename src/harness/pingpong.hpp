@@ -43,14 +43,13 @@ std::vector<double> pow2_sizes(double from, double to);
 std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
                                           const PingpongEndpoints& ends,
                                           const profiles::ExperimentConfig& cfg,
-                                          const PingpongOptions& options,
-                                          const SimHooks& hooks = {});
+                                          const PingpongOptions& options);
 
 /// Minimum one-way latency for a 1-byte message (Table 4).
 SimTime pingpong_min_latency(const topo::GridSpec& spec,
                              const PingpongEndpoints& ends,
                              const profiles::ExperimentConfig& cfg,
-                             int rounds = 20, const SimHooks& hooks = {});
+                             int rounds = 20);
 
 struct SlowstartSample {
   SimTime at = 0;      ///< send timestamp of this message
@@ -72,6 +71,6 @@ struct CrossTraffic {
 std::vector<SlowstartSample> slowstart_series(
     const topo::GridSpec& spec, const PingpongEndpoints& ends,
     const profiles::ExperimentConfig& cfg, double bytes, int count,
-    const CrossTraffic& cross = {}, const SimHooks& hooks = {});
+    const CrossTraffic& cross = {});
 
 }  // namespace gridsim::harness

@@ -11,13 +11,13 @@
 // results into the paper's tables and charts.
 //
 // Contract for workload closures: a scenario builds its own Simulation(s)
-// (directly or through a harness runner) and shares no mutable state with
-// any other scenario, so N scenarios can run on N threads. Every simulation
-// the closure runs must see `ScenarioContext::hooks` — pass it to the
-// harness run_* call, or invoke `hooks.on_start` right after constructing a
-// raw `Simulation` and `hooks.on_finish` after its run() returns. That is
-// what lets the campaign runner trace-digest a scenario and prove the
-// parallel schedule changed nothing.
+// (directly or through a harness runner), on the thread that called it, and
+// shares no mutable state with any other scenario, so N scenarios can run
+// on N threads. The campaign runner observes every one of those
+// Simulations through one hooks guard around the closure, which each
+// Simulation reports to on its own (simcore/simulation.hpp): that is what
+// lets it trace-digest a scenario and prove the parallel schedule changed
+// nothing, and no closure, runner or helper passes hooks along.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "simcore/simulation.hpp"
 
 namespace gridsim::harness {
 
@@ -58,7 +56,6 @@ struct ScenarioResult {
 
 /// Per-run inputs handed to the workload closure.
 struct ScenarioContext {
-  SimHooks hooks;          ///< must observe every Simulation the scenario runs
   std::uint64_t seed = 1;  ///< for scenarios with stochastic inputs
 };
 

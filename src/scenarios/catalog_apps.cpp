@@ -22,9 +22,9 @@ profiles::ExperimentConfig ray2mesh_config() {
       .tuning(profiles::TuningLevel::kTcpTuned);
 }
 
-apps::Ray2MeshResult run_for_master(int master_site, const SimHooks& hooks) {
+apps::Ray2MeshResult run_for_master(int master_site) {
   return apps::run_ray2mesh(topo::GridSpec::ray2mesh_quad(8), master_site,
-                            ray2mesh_config(), {}, hooks);
+                            ray2mesh_config());
 }
 
 void register_table6(ScenarioRegistry& reg) {
@@ -43,9 +43,9 @@ void register_table6(ScenarioRegistry& reg) {
     // Master/worker self-scheduling: the workers' result messages race at
     // the master's wildcard receive by design (that is the load balancer).
     spec.races_expected = true;
-    spec.run = [master_site](const ScenarioContext& ctx) {
+    spec.run = [master_site](const ScenarioContext&) {
       const auto topo = topo::GridSpec::ray2mesh_quad(8);
-      const auto r = run_for_master(master_site, ctx.hooks);
+      const auto r = run_for_master(master_site);
       ScenarioResult res;
       for (std::size_t site = 0; site < topo.sites.size(); ++site) {
         // Table 6 reports the *average rays per node* of each cluster (the
@@ -109,8 +109,8 @@ void register_table7(ScenarioRegistry& reg) {
     spec.description = "ray2mesh phase times, master at " + master_name;
     spec.expected_metrics = {"compute_s", "merge_s", "total_s"};
     spec.races_expected = true;  // same self-scheduling races as table6
-    spec.run = [master_site](const ScenarioContext& ctx) {
-      const auto r = run_for_master(master_site, ctx.hooks);
+    spec.run = [master_site](const ScenarioContext&) {
+      const auto r = run_for_master(master_site);
       ScenarioResult res;
       res.add("compute_s", to_seconds(r.compute_time), "s");
       res.add("merge_s", to_seconds(r.merge_time), "s");

@@ -53,14 +53,12 @@ mpi::CollRule pure_rule(CollOp op, const std::string& algo) {
   return r;
 }
 
-/// Runs one SPMD body under the context's digest hooks; returns the max
-/// per-rank finish time in seconds.
-double run_timed(const ScenarioContext& ctx, const topo::GridSpec& spec,
-                 int nranks, const profiles::ExperimentConfig& cfg,
+/// Runs one SPMD body; returns the max per-rank finish time in seconds.
+double run_timed(const topo::GridSpec& spec, int nranks,
+                 const profiles::ExperimentConfig& cfg,
                  const std::function<Task<void>(Rank&)>& body,
                  mpi::TrafficStats* stats = nullptr) {
   Simulation sim;
-  if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
                cfg.kernel);
@@ -70,13 +68,11 @@ double run_timed(const ScenarioContext& ctx, const topo::GridSpec& spec,
     finish[static_cast<size_t>(r.rank())] = r.sim().now();
   });
   sim.run();
-  if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
   if (stats) *stats = job.traffic();
   return to_seconds(*std::max_element(finish.begin(), finish.end()));
 }
 
-coll::GuidelineReport sweep(const ScenarioContext& ctx,
-                            const mpi::ImplProfile& impl) {
+coll::GuidelineReport sweep(const mpi::ImplProfile& impl) {
   const profiles::ExperimentConfig cfg =
       profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
   coll::GuidelineReport all;
@@ -84,7 +80,6 @@ coll::GuidelineReport sweep(const ScenarioContext& ctx,
     coll::GuidelineOptions opt;
     opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = d.cyclic;
-    opt.hooks = ctx.hooks;
     const coll::GuidelineReport rep =
         coll::verify_guidelines(d.spec, d.label, cfg.profile, cfg.kernel, opt);
     all.cells.insert(all.cells.end(), rep.cells.begin(), rep.cells.end());
@@ -106,8 +101,8 @@ void register_verify(ScenarioRegistry& reg, const mpi::ImplProfile& impl) {
                      " over cluster/grid/cyclic; fails on any violation";
   spec.expected_metrics = {"cells", "violations", "worst_ratio"};
   spec.ranks = kCollRanks;
-  spec.run = [impl](const ScenarioContext& ctx) {
-    const coll::GuidelineReport rep = sweep(ctx, impl);
+  spec.run = [impl](const ScenarioContext&) {
+    const coll::GuidelineReport rep = sweep(impl);
     ScenarioResult res;
     res.add("cells", static_cast<double>(rep.cells.size()));
     res.add("violations", rep.violations());
@@ -136,7 +131,7 @@ void register_misrule(ScenarioRegistry& reg) {
       "on the cyclic grid (negative fixture)";
   spec.expected_metrics = {"violations", "monotone_bcast_ratio"};
   spec.ranks = kCollRanks;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     const profiles::ExperimentConfig cfg =
         profiles::experiment(profiles::mpich2())
             .selector(coll::misruled_selector())
@@ -144,7 +139,6 @@ void register_misrule(ScenarioRegistry& reg) {
     coll::GuidelineOptions opt;
     opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = true;
-    opt.hooks = ctx.hooks;
     const coll::GuidelineReport rep = coll::verify_guidelines(
         topo::GridSpec::rennes_nancy(8), "grid-cyclic", cfg.profile,
         cfg.kernel, opt);
@@ -176,14 +170,14 @@ void register_equiv_bcast(ScenarioRegistry& reg) {
       "on the grid";
   spec.expected_metrics = {"algos", "min_traffic_ratio"};
   spec.ranks = kCollRanks;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     const double bytes = 256e3;
     const double floor = (kCollRanks - 1) * bytes;
     double min_ratio = 1e9;
     const auto names = coll::AlgorithmRegistry::instance().names("bcast");
     for (const auto& name : names) {
       mpi::TrafficStats stats;
-      run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
+      run_timed(topo::GridSpec::rennes_nancy(8), kCollRanks,
                 profiles::experiment(profiles::mpich2())
                     .selector({pure_rule(CollOp::kBcast, name)}),
                 [bytes](Rank& r) -> Task<void> {
@@ -216,13 +210,13 @@ void register_equiv_allreduce(ScenarioRegistry& reg) {
       "pow2 and non-pow2 communicators";
   spec.expected_metrics = {"algos", "max_s"};
   spec.ranks = kCollRanks;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     double max_s = 0;
     const auto names = coll::AlgorithmRegistry::instance().names("allreduce");
     for (const auto& name : names) {
       for (int nranks : {6, kCollRanks}) {
         const double s =
-            run_timed(ctx, topo::GridSpec::rennes_nancy(8), nranks,
+            run_timed(topo::GridSpec::rennes_nancy(8), nranks,
                       profiles::experiment(profiles::mpich2())
                           .selector({pure_rule(CollOp::kAllreduce, name)}),
                       [](Rank& r) -> Task<void> {
@@ -253,7 +247,7 @@ void register_equiv_alltoall(ScenarioRegistry& reg) {
       "p*(p-1) blocks";
   spec.expected_metrics = {"algos", "min_traffic_B"};
   spec.ranks = 8;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     const int nranks = 8;
     const double per_pair = 500;
     const double floor = nranks * (nranks - 1) * per_pair;
@@ -261,7 +255,7 @@ void register_equiv_alltoall(ScenarioRegistry& reg) {
     const auto names = coll::AlgorithmRegistry::instance().names("alltoall");
     for (const auto& name : names) {
       mpi::TrafficStats stats;
-      run_timed(ctx, topo::GridSpec::single_cluster(8), nranks,
+      run_timed(topo::GridSpec::single_cluster(8), nranks,
                 profiles::experiment(profiles::mpich2())
                     .selector({pure_rule(CollOp::kAlltoall, name)}),
                 [per_pair](Rank& r) -> Task<void> {
@@ -292,13 +286,13 @@ void register_equiv_barrier(ScenarioRegistry& reg) {
       "rank until the last arrival";
   spec.expected_metrics = {"algos", "min_exit_ms"};
   spec.ranks = 8;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     const int nranks = 8;
     double min_exit_ms = 1e18;
     const auto names = coll::AlgorithmRegistry::instance().names("barrier");
     for (const auto& name : names) {
       std::vector<SimTime> after(static_cast<size_t>(nranks), -1);
-      run_timed(ctx, topo::GridSpec::rennes_nancy(4), nranks,
+      run_timed(topo::GridSpec::rennes_nancy(4), nranks,
                 profiles::experiment(profiles::mpich2())
                     .selector({pure_rule(CollOp::kBarrier, name)}),
                 [&after](Rank& r) -> Task<void> {
@@ -383,7 +377,7 @@ void register_selector_rules(ScenarioRegistry& reg) {
       "grid and via the ring inside a cluster";
   spec.expected_metrics = {"grid_s", "cluster_s"};
   spec.ranks = kCollRanks;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     mpi::CollRule multi = pure_rule(CollOp::kBcast, "hierarchical");
     multi.topo = mpi::TopoScope::kMultiSite;
     mpi::CollRule single = pure_rule(CollOp::kBcast, "scatter-ring");
@@ -403,11 +397,11 @@ void register_selector_rules(ScenarioRegistry& reg) {
       co_await coll::bcast(r, 0, 256e3);
     };
     const double grid_s =
-        run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
+        run_timed(topo::GridSpec::rennes_nancy(8), kCollRanks,
                   profiles::experiment(profiles::mpich2()).selector(rules),
                   body);
     const double cluster_s =
-        run_timed(ctx, topo::GridSpec::single_cluster(16), kCollRanks,
+        run_timed(topo::GridSpec::single_cluster(16), kCollRanks,
                   profiles::experiment(profiles::mpich2()).selector(rules),
                   body);
     if (grid_s <= 0 || cluster_s <= 0)

@@ -39,18 +39,14 @@ constexpr int kLintRanks = 3;
 /// Runs `body` on a 3-rank job spanning both sites (rank 0 + rank 1 in
 /// Rennes, rank 2 in Nancy — so the two candidate sends take LAN and WAN
 /// paths of genuinely different latency).
-ScenarioResult run_lint_job(
-    const ScenarioContext& ctx,
-    const std::function<Task<void>(mpi::Rank&)>& body, int* recvs,
-    double* sum_bytes) {
+ScenarioResult run_lint_job(const std::function<Task<void>(mpi::Rank&)>& body,
+                            int* recvs, double* sum_bytes) {
   Simulation sim;
-  if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
   topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
   mpi::Job job(grid, mpi::block_placement(grid, kLintRanks),
                profiles::mpich2(), tcp::KernelTunables::grid_tuned());
   job.launch(body);
   sim.run();
-  if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
   ScenarioResult res;
   res.add("recvs", *recvs);
   res.add("sum_bytes", *sum_bytes, "B");
@@ -67,11 +63,10 @@ void register_wildcard_race(ScenarioRegistry& reg) {
   spec.expected_metrics = {"recvs", "sum_bytes"};
   spec.ranks = kLintRanks;
   spec.races_expected = true;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     int recvs = 0;
     double sum_bytes = 0;
     auto res = run_lint_job(
-        ctx,
         [&](mpi::Rank& r) -> Task<void> {
           if (r.rank() == 0) {
             for (int i = 0; i < kLintRanks - 1; ++i) {
@@ -100,11 +95,10 @@ void register_scripted_order(ScenarioRegistry& reg) {
       "zero findings";
   spec.expected_metrics = {"recvs", "sum_bytes"};
   spec.ranks = kLintRanks;
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     int recvs = 0;
     double sum_bytes = 0;
     auto res = run_lint_job(
-        ctx,
         [&](mpi::Rank& r) -> Task<void> {
           if (r.rank() == 0) {
             for (int i = 0; i < kLintRanks - 1; ++i) {

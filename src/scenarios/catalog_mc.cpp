@@ -49,16 +49,14 @@ std::vector<mpi::ImplProfile> mc_profiles() {
 /// Runs `body` on every rank of a 4-rank job spanning both sites and
 /// returns the job's traffic stats as interleaving-invariant metrics.
 ScenarioResult run_traffic_job(
-    const profiles::ExperimentConfig& cfg, const SimHooks& hooks, int nranks,
+    const profiles::ExperimentConfig& cfg, int nranks,
     const std::function<Task<void>(mpi::Rank&)>& body) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
   mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
                cfg.kernel);
   job.launch(body);
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
   const mpi::TrafficStats& t = job.traffic();
   ScenarioResult res;
   res.add("coll_msgs", static_cast<double>(t.collective_messages));
@@ -84,11 +82,10 @@ void register_wildcard_pingpong(ScenarioRegistry& reg) {
     spec.expected_metrics = {"recvs", "sum_bytes", "weighted_sum", "acks"};
     spec.ranks = kRanks;
     spec.races_expected = true;  // the racing senders are the point
-    spec.run = [impl](const ScenarioContext& ctx) {
+    spec.run = [impl](const ScenarioContext&) {
       const profiles::ExperimentConfig cfg =
           profiles::experiment(impl).tuning(TuningLevel::kTcpTuned);
       Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
       topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
       mpi::Job job(grid, mpi::block_placement(grid, kRanks), cfg.profile,
                    cfg.kernel);
@@ -111,7 +108,6 @@ void register_wildcard_pingpong(ScenarioRegistry& reg) {
         }
       });
       sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
       ScenarioResult res;
       res.add("recvs", recvs);
       res.add("sum_bytes", sum_bytes, "B");
@@ -142,10 +138,10 @@ void register_collectives(ScenarioRegistry& reg) {
           impl.name;
       spec.expected_metrics = {"coll_msgs", "coll_mb", "ctrl_msgs"};
       spec.ranks = kRanks;
-      spec.run = [impl](const ScenarioContext& ctx) {
+      spec.run = [impl](const ScenarioContext&) {
         auto res = run_traffic_job(
             profiles::experiment(impl).tuning(TuningLevel::kTcpTuned),
-            ctx.hooks, kRanks, [](mpi::Rank& r) -> Task<void> {
+            kRanks, [](mpi::Rank& r) -> Task<void> {
               co_await coll::bcast(r, 0, 64e3);
             });
         res.note = harness::format_double(res.metric("coll_msgs"), 0) +
@@ -164,10 +160,10 @@ void register_collectives(ScenarioRegistry& reg) {
           impl.name;
       spec.expected_metrics = {"coll_msgs", "coll_mb", "ctrl_msgs"};
       spec.ranks = kRanks;
-      spec.run = [impl](const ScenarioContext& ctx) {
+      spec.run = [impl](const ScenarioContext&) {
         auto res = run_traffic_job(
             profiles::experiment(impl).tuning(TuningLevel::kTcpTuned),
-            ctx.hooks, kRanks, [](mpi::Rank& r) -> Task<void> {
+            kRanks, [](mpi::Rank& r) -> Task<void> {
               co_await coll::allreduce(r, 256e3);
             });
         res.note = harness::format_double(res.metric("coll_msgs"), 0) +
@@ -201,11 +197,10 @@ void register_npb_skeletons(ScenarioRegistry& reg) {
                          impl.name;
       spec.expected_metrics = {"p2p_msgs", "p2p_mb", "coll_msgs", "coll_mb"};
       spec.ranks = kRanks;
-      spec.run = [impl, k](const ScenarioContext& ctx) {
+      spec.run = [impl, k](const ScenarioContext&) {
         const auto r = harness::run_npb(
             topo::GridSpec::rennes_nancy(2), kRanks, k, npb::Class::kS,
-            profiles::experiment(impl).tuning(TuningLevel::kTcpTuned), 0,
-            ctx.hooks);
+            profiles::experiment(impl).tuning(TuningLevel::kTcpTuned));
         ScenarioResult res;
         res.add("p2p_msgs", static_cast<double>(r.traffic.p2p_messages));
         res.add("p2p_mb", r.traffic.p2p_bytes / 1e6, "MB");
@@ -241,9 +236,8 @@ void register_deadlock_fixture(ScenarioRegistry& reg) {
   spec.expected_metrics = {"recvs", "sum_bytes"};
   spec.ranks = 3;
   spec.races_expected = true;  // the hidden ordering bug *is* an R1 race
-  spec.run = [](const ScenarioContext& ctx) {
+  spec.run = [](const ScenarioContext&) {
     Simulation sim;
-    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
     topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
     mpi::Job job(grid, mpi::block_placement(grid, 3),
                  profiles::mpich2(), tcp::KernelTunables::grid_tuned());
@@ -264,7 +258,6 @@ void register_deadlock_fixture(ScenarioRegistry& reg) {
       }
     });
     sim.run();
-    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
     ScenarioResult res;
     res.add("recvs", recvs);
     res.add("sum_bytes", sum_bytes, "B");

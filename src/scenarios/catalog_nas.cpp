@@ -33,11 +33,11 @@ profiles::ExperimentConfig nas_config(const mpi::ImplProfile& impl) {
 /// Runtime of every kernel for one implementation on one deployment.
 std::map<npb::Kernel, double> nas_suite_seconds(
     const topo::GridSpec& spec, int nranks, npb::Class cls,
-    const mpi::ImplProfile& impl, const SimHooks& hooks) {
+    const mpi::ImplProfile& impl) {
   std::map<npb::Kernel, double> out;
   const auto cfg = nas_config(impl);
   for (npb::Kernel k : npb::all_kernels()) {
-    const auto res = harness::run_npb(spec, nranks, k, cls, cfg, 0, hooks);
+    const auto res = harness::run_npb(spec, nranks, k, cls, cfg);
     out[k] = to_seconds(res.makespan);
   }
   return out;
@@ -64,7 +64,7 @@ void register_table2(ScenarioRegistry& reg) {
     spec.description =
         "NPB communication features, 16 ranks -- " + npb::name(k);
     spec.expected_metrics = {"messages"};
-    spec.run = [k](const ScenarioContext& ctx) {
+    spec.run = [k](const ScenarioContext&) {
       // The paper's Table 2 mixes class A (counts from [11]) and class B
       // (their instrumented sizes); we report class B except IS, whose
       // 30 MB aggregate matches class A.
@@ -72,7 +72,7 @@ void register_table2(ScenarioRegistry& reg) {
           (k == npb::Kernel::kIS) ? npb::Class::kA : npb::Class::kB;
       const auto res =
           harness::run_npb(topo::GridSpec::single_cluster(16), 16, k, cls,
-                           nas_config(profiles::mpich2()), 0, ctx.hooks);
+                           nas_config(profiles::mpich2()));
       const auto& t = res.traffic;
       const bool collective = t.collective_messages > t.p2p_messages;
       const std::uint64_t count =
@@ -148,10 +148,9 @@ void register_suite_figure(ScenarioRegistry& reg, const SuiteFigure& fig) {
       spec.expected_metrics.push_back(npb::name(k) + "_s");
     const int nodes = fig.nodes_per_site;
     const int nranks = fig.nranks;
-    spec.run = [impl, nodes, nranks](const ScenarioContext& ctx) {
+    spec.run = [impl, nodes, nranks](const ScenarioContext&) {
       const auto seconds = nas_suite_seconds(
-          topo::GridSpec::rennes_nancy(nodes), nranks, npb::Class::kB, impl,
-          ctx.hooks);
+          topo::GridSpec::rennes_nancy(nodes), nranks, npb::Class::kB, impl);
       ScenarioResult res;
       for (const auto& [k, s] : seconds) res.add(npb::name(k) + "_s", s, "s");
       return res;
@@ -205,12 +204,12 @@ void register_ratio_figure(ScenarioRegistry& reg, const RatioFigure& fig) {
     const int cluster_ranks = fig.cluster_ranks;
     const std::string suffix = fig.metric_suffix;
     spec.run = [impl, cluster_nodes, cluster_ranks,
-                suffix](const ScenarioContext& ctx) {
+                suffix](const ScenarioContext&) {
       const auto grid = nas_suite_seconds(topo::GridSpec::rennes_nancy(8), 16,
-                                          npb::Class::kB, impl, ctx.hooks);
+                                          npb::Class::kB, impl);
       const auto cluster = nas_suite_seconds(
           topo::GridSpec::single_cluster(cluster_nodes), cluster_ranks,
-          npb::Class::kB, impl, ctx.hooks);
+          npb::Class::kB, impl);
       ScenarioResult res;
       for (npb::Kernel k : npb::all_kernels())
         res.add(npb::name(k) + suffix, cluster.at(k) / grid.at(k));
@@ -281,14 +280,13 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
         std::string("FT class B on 8+8 nodes, bcast = ") + c.label;
     spec.expected_metrics = {"ft_s"};
     const std::string label = c.label;
-    spec.run = [label, rules = c.rules](const ScenarioContext& ctx) {
+    spec.run = [label, rules = c.rules](const ScenarioContext&) {
       const auto res_npb = harness::run_npb(
           topo::GridSpec::rennes_nancy(8), 16, npb::Kernel::kFT,
           npb::Class::kB,
           profiles::experiment(profiles::mpich2())
               .selector(rules)
-              .tuning(TuningLevel::kTcpTuned),
-          0, ctx.hooks);
+              .tuning(TuningLevel::kTcpTuned));
       ScenarioResult res;
       res.add("ft_s", to_seconds(res_npb.makespan), "s");
       res.cells.push_back(label);
@@ -320,15 +318,14 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
         c.label;
     spec.expected_metrics = {"total_s"};
     const std::string label = c.label;
-    spec.run = [label, rules = c.rules](const ScenarioContext& ctx) {
+    spec.run = [label, rules = c.rules](const ScenarioContext&) {
       const profiles::ExperimentConfig cfg =
           profiles::experiment(profiles::mpich2())
               .selector(rules)
               .tuning(TuningLevel::kTcpTuned);
       // 100 back-to-back 64 kB allreduces over 8+8 nodes, timed directly
-      // on a raw Simulation (so the hooks are invoked manually).
+      // on a raw Simulation.
       Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
       topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
       mpi::Job job(grid, mpi::block_placement(grid, 16), cfg.profile,
                    cfg.kernel);
@@ -340,7 +337,6 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
         }(job.rank(rank), &finish[static_cast<size_t>(rank)]));
       }
       sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
       const SimTime makespan = *std::max_element(finish.begin(), finish.end());
       ScenarioResult res;
       res.add("total_s", to_seconds(makespan), "s");
@@ -412,16 +408,16 @@ void register_ablation_heterogeneity(ScenarioRegistry& reg) {
       spec.expected_metrics.push_back(npb::name(k) + "_eth_s");
       spec.expected_metrics.push_back(npb::name(k) + "_native_s");
     }
-    spec.run = [](const ScenarioContext& ctx) {
+    spec.run = [](const ScenarioContext&) {
       const auto cfg = profiles::experiment(profiles::mpich_madeleine())
                            .tuning(TuningLevel::kTcpTuned)
                            .build();
       ScenarioResult res;
       for (npb::Kernel k : hetero_kernels()) {
         const auto eth = harness::run_npb(hetero_spec(false), 16, k,
-                                          npb::Class::kA, cfg, 0, ctx.hooks);
+                                          npb::Class::kA, cfg);
         const auto mx = harness::run_npb(hetero_spec(true), 16, k,
-                                         npb::Class::kA, cfg, 0, ctx.hooks);
+                                         npb::Class::kA, cfg);
         res.add(npb::name(k) + "_eth_s", to_seconds(eth.makespan), "s");
         res.add(npb::name(k) + "_native_s", to_seconds(mx.makespan), "s");
       }
@@ -439,12 +435,12 @@ void register_ablation_heterogeneity(ScenarioRegistry& reg) {
     spec.expected_metrics = {"baseline_s"};
     for (double gw_us : gateway_costs_us())
       spec.expected_metrics.push_back(gw_metric(gw_us));
-    spec.run = [](const ScenarioContext& ctx) {
+    spec.run = [](const ScenarioContext&) {
       const auto base = profiles::experiment(profiles::mpich_madeleine())
                             .tuning(TuningLevel::kTcpTuned);
       const auto eth_cg =
           harness::run_npb(hetero_spec(false), 16, npb::Kernel::kCG,
-                           npb::Class::kA, base, 0, ctx.hooks);
+                           npb::Class::kA, base);
       ScenarioResult res;
       res.add("baseline_s", to_seconds(eth_cg.makespan), "s");
       for (double gw_us : gateway_costs_us()) {
@@ -453,7 +449,7 @@ void register_ablation_heterogeneity(ScenarioRegistry& reg) {
             microseconds(static_cast<std::int64_t>(gw_us)));
         const auto mx =
             harness::run_npb(hetero_spec(true), 16, npb::Kernel::kCG,
-                             npb::Class::kA, cfg, 0, ctx.hooks);
+                             npb::Class::kA, cfg);
         res.add(gw_metric(gw_us), to_seconds(mx.makespan), "s");
       }
       return res;
@@ -506,9 +502,8 @@ Task<void> placement_kernel_body(mpi::Rank& rank, npb::Kernel k,
   *out = rank.sim().now();
 }
 
-double run_with_placement(npb::Kernel k, bool cyclic, const SimHooks& hooks) {
+double run_with_placement(npb::Kernel k, bool cyclic) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
   const auto cfg = nas_config(profiles::mpich2());
   const auto placement = cyclic ? mpi::cyclic_placement(grid, 16)
@@ -519,7 +514,6 @@ double run_with_placement(npb::Kernel k, bool cyclic, const SimHooks& hooks) {
     sim.spawn(placement_kernel_body(job.rank(r), k,
                                     &finish[static_cast<size_t>(r)]));
   sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
   return to_seconds(*std::max_element(finish.begin(), finish.end()));
 }
 
@@ -532,9 +526,9 @@ void register_ext_placement(ScenarioRegistry& reg) {
     spec.description =
         "block vs cyclic placement, class A, 8+8 nodes -- " + npb::name(k);
     spec.expected_metrics = {"block_s", "cyclic_s"};
-    spec.run = [k](const ScenarioContext& ctx) {
-      const double block = run_with_placement(k, false, ctx.hooks);
-      const double cyclic = run_with_placement(k, true, ctx.hooks);
+    spec.run = [k](const ScenarioContext&) {
+      const double block = run_with_placement(k, false);
+      const double cyclic = run_with_placement(k, true);
       ScenarioResult res;
       res.add("block_s", block, "s");
       res.add("cyclic_s", cyclic, "s");
@@ -585,9 +579,8 @@ void register_ext_traffic_matrix(ScenarioRegistry& reg) {
         "traffic locality, class A, 8+8 block placement -- " + npb::name(k);
     spec.expected_metrics = {"lan_mb", "wan_mb", "wan_share_pct",
                              "wan_pairs"};
-    spec.run = [k](const ScenarioContext& ctx) {
+    spec.run = [k](const ScenarioContext&) {
       Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
       topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
       const auto cfg = nas_config(profiles::mpich2());
       mpi::Job job(grid, mpi::block_placement(grid, 16), cfg.profile,
@@ -595,7 +588,6 @@ void register_ext_traffic_matrix(ScenarioRegistry& reg) {
       for (int r = 0; r < 16; ++r)
         sim.spawn(traffic_kernel_body(&job.rank(r), k));
       sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
       double lan = 0, wan = 0;
       std::uint64_t wan_pairs = 0;
       const mpi::TrafficStats traffic = job.traffic();

@@ -49,7 +49,7 @@ void register_bandwidth_figure(ScenarioRegistry& reg,
     spec.expected_metrics = {"peak_mbps"};
     const bool grid = fig.grid;
     const TuningLevel level = fig.level;
-    spec.run = [impl, grid, level](const ScenarioContext& ctx) {
+    spec.run = [impl, grid, level](const ScenarioContext&) {
       const auto topo = grid ? topo::GridSpec::rennes_nancy(1)
                              : topo::GridSpec::single_cluster(2);
       const harness::PingpongEndpoints ends =
@@ -59,8 +59,7 @@ void register_bandwidth_figure(ScenarioRegistry& reg,
       options.sizes = figure_sizes();
       options.rounds = 12;
       const auto points = harness::pingpong_sweep(
-          topo, ends, profiles::experiment(impl).tuning(level), options,
-          ctx.hooks);
+          topo, ends, profiles::experiment(impl).tuning(level), options);
       ScenarioResult res;
       double peak = 0;
       for (const auto& p : points) {
@@ -117,13 +116,12 @@ void register_table4(ScenarioRegistry& reg) {
     spec.description =
         "one-way 1-byte latency, cluster and grid -- " + impl.name;
     spec.expected_metrics = {"lan_us", "wan_us"};
-    spec.run = [impl](const ScenarioContext& ctx) {
+    spec.run = [impl](const ScenarioContext&) {
       const profiles::ExperimentConfig cfg = profiles::experiment(impl);
       const SimTime lan = harness::pingpong_min_latency(
-          topo::GridSpec::single_cluster(2), {0, 0, 0, 1}, cfg, 20,
-          ctx.hooks);
+          topo::GridSpec::single_cluster(2), {0, 0, 0, 1}, cfg, 20);
       const SimTime wan = harness::pingpong_min_latency(
-          topo::GridSpec::rennes_nancy(1), {0, 0, 1, 0}, cfg, 20, ctx.hooks);
+          topo::GridSpec::rennes_nancy(1), {0, 0, 1, 0}, cfg, 20);
       ScenarioResult res;
       res.add("lan_us", to_microseconds(lan), "us");
       res.add("wan_us", to_microseconds(wan), "us");
@@ -170,7 +168,7 @@ void register_table4(ScenarioRegistry& reg) {
 /// Sum of per-size transfer times with one candidate threshold: lower is
 /// better.
 double sweep_score(const mpi::ImplProfile& base, double threshold,
-                   const std::vector<double>& sizes, const SimHooks& hooks) {
+                   const std::vector<double>& sizes) {
   harness::PingpongOptions options;
   options.sizes = sizes;
   options.rounds = 6;
@@ -179,7 +177,7 @@ double sweep_score(const mpi::ImplProfile& base, double threshold,
       profiles::experiment(base)
           .tuning(TuningLevel::kTcpTuned)
           .eager_threshold(std::min(threshold, base.eager_threshold_max)),
-      options, hooks);
+      options);
   double total = 0;
   for (const auto& p : points) total += to_seconds(p.min_one_way);
   return total;
@@ -192,7 +190,7 @@ void register_table5(ScenarioRegistry& reg) {
     spec.name = "table5/" + impl.name;
     spec.description = "ideal eager/rndv threshold sweep -- " + impl.name;
     spec.expected_metrics = {"ideal_bytes"};
-    spec.run = [impl](const ScenarioContext& ctx) {
+    spec.run = [impl](const ScenarioContext&) {
       const auto sizes = figure_sizes();
       const std::vector<double> candidates = {
           64e3, 128e3, 256e3, 512e3, 1024e3, 4.0 * 1024 * 1024,
@@ -200,7 +198,7 @@ void register_table5(ScenarioRegistry& reg) {
       double best = candidates.front();
       double best_score = 1e300;
       for (double cand : candidates) {
-        const double score = sweep_score(impl, cand, sizes, ctx.hooks);
+        const double score = sweep_score(impl, cand, sizes);
         if (score < best_score - 1e-9) {
           best_score = score;
           best = std::min(cand, impl.eager_threshold_max);
@@ -260,7 +258,7 @@ void register_ablation_buffers(ScenarioRegistry& reg) {
     spec.description = "socket buffer sweep, 64 MB messages, buffer " +
                        harness::format_bytes(buf) + "B";
     spec.expected_metrics = {"measured_mbps", "bound_mbps"};
-    spec.run = [buf](const ScenarioContext& ctx) {
+    spec.run = [buf](const ScenarioContext&) {
       const double rtt_s = 11.6e-3;
       harness::PingpongOptions options;
       options.sizes = {64e6};
@@ -271,7 +269,7 @@ void register_ablation_buffers(ScenarioRegistry& reg) {
               .tuning(TuningLevel::kTcpTuned)
               .setsockopt_bytes(buf)
               .eager_threshold(1e12),  // isolate the buffer effect
-          options, ctx.hooks);
+          options);
       const double predicted =
           std::min(buf * 8.0 / rtt_s, tcp::ethernet_goodput(1e9) * 8.0) / 1e6;
       ScenarioResult res;
@@ -323,13 +321,13 @@ void register_ext_mpich_g2(ScenarioRegistry& reg) {
       spec.description = "WAN bandwidth 64 kB..64 MB -- " + impl.name +
                          ", " + profiles::to_string(level) + " configuration";
       spec.expected_metrics = {"peak_mbps"};
-      spec.run = [impl, level](const ScenarioContext& ctx) {
+      spec.run = [impl, level](const ScenarioContext&) {
         harness::PingpongOptions options;
         options.sizes = g2_sizes();
         options.rounds = 10;
         const auto points = harness::pingpong_sweep(
             topo::GridSpec::rennes_nancy(1), {0, 0, 1, 0},
-            profiles::experiment(impl).tuning(level), options, ctx.hooks);
+            profiles::experiment(impl).tuning(level), options);
         ScenarioResult res;
         double peak = 0;
         for (const auto& p : points) {

@@ -40,11 +40,10 @@ struct SeriesStats {
   int completed = 0;
 };
 
-SeriesStats run_series(const profiles::ExperimentConfig& cfg,
-                       const SimHooks& hooks) {
+SeriesStats run_series(const profiles::ExperimentConfig& cfg) {
   const auto series =
       harness::slowstart_series(topo::GridSpec::rennes_nancy(2), {0, 0, 1, 0},
-                                cfg, kSeriesBytes, kSeriesCount, {}, hooks);
+                                cfg, kSeriesBytes, kSeriesCount);
   SeriesStats out;
   out.completed = static_cast<int>(series.size());
   out.min_mbps = series.empty() ? 0 : series.front().mbps;
@@ -85,8 +84,7 @@ void register_loss_sweep(ScenarioRegistry& reg) {
                            .tuning(TuningLevel::kFullyTuned)
                            .loss_episodes(episodes)
                            .fault_seed(ctx.seed * 11 +
-                                       static_cast<std::uint64_t>(i)),
-                       ctx.hooks);
+                                       static_cast<std::uint64_t>(i)));
         res.add(labels[i], stats.mean_mbps, "Mbps");
         mean += stats.mean_mbps;
       }
@@ -129,7 +127,7 @@ void register_jitter(ScenarioRegistry& reg) {
               .tuning(TuningLevel::kFullyTuned)
               .jitter(wan_jitter(0.30))
               .fault_seed(ctx.seed * 17),
-          options, ctx.hooks);
+          options);
       double best_bw = 0;
       for (const auto& p : points)
         best_bw = std::max(best_bw, p.max_bandwidth_mbps);
@@ -157,8 +155,7 @@ void register_jitter(ScenarioRegistry& reg) {
           run_series(profiles::experiment(profiles::gridmpi())
                          .tuning(TuningLevel::kFullyTuned)
                          .jitter(wan_jitter(0.30))
-                         .fault_seed(ctx.seed * 19),
-                     ctx.hooks);
+                         .fault_seed(ctx.seed * 19));
       ScenarioResult res;
       res.add("mean_mbps", stats.mean_mbps, "Mbps");
       res.add("min_mbps", stats.min_mbps, "Mbps");
@@ -191,8 +188,7 @@ void register_flap(ScenarioRegistry& reg) {
           run_series(profiles::experiment(profiles::mpich2())
                          .tuning(TuningLevel::kFullyTuned)
                          .flap(flap)
-                         .fault_seed(ctx.seed * 23),
-                     ctx.hooks);
+                         .fault_seed(ctx.seed * 23));
       ScenarioResult res;
       res.add("completed", stats.completed);
       res.add("mean_mbps", stats.mean_mbps, "Mbps");
@@ -232,7 +228,7 @@ void register_flap(ScenarioRegistry& reg) {
               .tuning(TuningLevel::kFullyTuned)
               .flap(flap)
               .fault_seed(ctx.seed * 29),
-          app, ctx.hooks);
+          app);
       ScenarioResult res;
       res.add("total_time_s", to_seconds(result.total_time), "s");
       res.add("degraded_events", result.degraded_progress_events);
@@ -264,8 +260,7 @@ void register_cross(ScenarioRegistry& reg) {
     const auto stats = run_series(profiles::experiment(profiles::gridmpi())
                                       .tuning(TuningLevel::kFullyTuned)
                                       .cross_traffic(cross)
-                                      .fault_seed(ctx.seed * 31),
-                                  ctx.hooks);
+                                      .fault_seed(ctx.seed * 31));
     ScenarioResult res;
     res.add("mean_mbps", stats.mean_mbps, "Mbps");
     res.add("min_mbps", stats.min_mbps, "Mbps");
@@ -300,14 +295,14 @@ void register_packet_loss(ScenarioRegistry& reg) {
       tcp::PacketSimConfig cfg = base;
       cfg.loss = simfault::PacketLossSpec::iid(
           iid_rates[i], ctx.seed * 37 + static_cast<std::uint64_t>(i));
-      const auto r = tcp::packet_level_transfer(kBytes, cfg, ctx.hooks);
+      const auto r = tcp::packet_level_transfer(kBytes, cfg);
       res.add(labels[i], to_seconds(r.completion), "s");
       retransmits += r.retransmits;
     }
     tcp::PacketSimConfig ge = base;
     ge.loss = simfault::PacketLossSpec::gilbert_elliott(0.01, 0.25, 0.30,
                                                         ctx.seed * 41);
-    const auto r = tcp::packet_level_transfer(kBytes, ge, ctx.hooks);
+    const auto r = tcp::packet_level_transfer(kBytes, ge);
     res.add("ge_s", to_seconds(r.completion), "s");
     retransmits += r.retransmits;
     res.add("retransmits", retransmits);

@@ -43,12 +43,11 @@ struct SlowstartSummary {
   double mean_mbps = 0;
 };
 
-SlowstartSummary slowstart_run(const profiles::ExperimentConfig& cfg,
-                               const SimHooks& hooks) {
+SlowstartSummary slowstart_run(const profiles::ExperimentConfig& cfg) {
   SlowstartSummary out;
   out.series = harness::slowstart_series(shared_bottleneck_spec(),
                                          {0, 0, 1, 0}, cfg, 1e6, 200,
-                                         fig9_cross(), hooks);
+                                         fig9_cross());
   for (const auto& s : out.series) {
     if (out.t500_s < 0 && s.mbps >= 500) out.t500_s = to_seconds(s.at);
     out.peak_mbps = std::max(out.peak_mbps, s.mbps);
@@ -74,10 +73,9 @@ void register_fig9(ScenarioRegistry& reg) {
     spec.description =
         "slow start under bursty cross traffic -- " + impl.name;
     spec.expected_metrics = {"t500_s", "peak_mbps"};
-    spec.run = [impl](const ScenarioContext& ctx) {
+    spec.run = [impl](const ScenarioContext&) {
       const auto sum = slowstart_run(
-          profiles::experiment(impl).tuning(TuningLevel::kFullyTuned),
-          ctx.hooks);
+          profiles::experiment(impl).tuning(TuningLevel::kFullyTuned));
       ScenarioResult res;
       res.add("t500_s", sum.t500_s, "s");
       res.add("peak_mbps", sum.peak_mbps, "Mbps");
@@ -137,10 +135,9 @@ void register_ablation_pacing(ScenarioRegistry& reg) {
     spec.description = std::string("Fig 9 slow-start scenario with pacing ") +
                        (pacing ? "on" : "off");
     spec.expected_metrics = {"t500_s"};
-    spec.run = [pacing](const ScenarioContext& ctx) {
+    spec.run = [pacing](const ScenarioContext&) {
       const auto sum = slowstart_run(profiles::experiment(pacing_profile(pacing))
-                                         .tuning(TuningLevel::kTcpTuned),
-                                     ctx.hooks);
+                                         .tuning(TuningLevel::kTcpTuned));
       ScenarioResult res;
       res.add("t500_s", sum.t500_s, "s");
       res.cells.push_back(pacing_profile(pacing).name);
@@ -158,13 +155,12 @@ void register_ablation_pacing(ScenarioRegistry& reg) {
         std::string("IS class B on 8+8 nodes with pacing ") +
         (pacing ? "on" : "off");
     spec.expected_metrics = {"runtime_s"};
-    spec.run = [pacing](const ScenarioContext& ctx) {
+    spec.run = [pacing](const ScenarioContext&) {
       const auto res_npb = harness::run_npb(
           topo::GridSpec::rennes_nancy(8), 16, npb::Kernel::kIS,
           npb::Class::kB,
           profiles::experiment(pacing_profile(pacing))
-              .tuning(TuningLevel::kTcpTuned),
-          0, ctx.hooks);
+              .tuning(TuningLevel::kTcpTuned));
       ScenarioResult res;
       res.add("runtime_s", to_seconds(res_npb.makespan), "s");
       res.cells.push_back(pacing_profile(pacing).name);
@@ -213,11 +209,10 @@ void register_ablation_tcp_algo(ScenarioRegistry& reg) {
         std::string("bulk transfer under burst losses with ") + c.label;
     spec.expected_metrics = {"t500_s", "mean_mbps"};
     const tcp::CongestionAlgo algo = c.algo;
-    spec.run = [algo](const ScenarioContext& ctx) {
+    spec.run = [algo](const ScenarioContext&) {
       const auto sum = slowstart_run(profiles::experiment(profiles::raw_tcp())
                                          .tuning(TuningLevel::kFullyTuned)
-                                         .congestion(algo),
-                                     ctx.hooks);
+                                         .congestion(algo));
       ScenarioResult res;
       res.add("t500_s", sum.t500_s, "s");
       res.add("mean_mbps", sum.mean_mbps, "Mbps");

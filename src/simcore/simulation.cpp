@@ -49,13 +49,35 @@ Detached drive_impl(Task<void> user, int* live_counter) {
   --*live_counter;
 }
 
+// The hooks Simulations constructed on this thread report to (see
+// ScopedSimHooks). Thread-local so campaign worker threads stay isolated.
+thread_local const SimHooks* g_ambient_hooks = nullptr;
+
 }  // namespace
 
-Simulation::Simulation() {
-  detail::install_check_context(this, &Simulation::check_context_of);
+ScopedSimHooks::ScopedSimHooks(const SimHooks* hooks)
+    : previous_(g_ambient_hooks) {
+  g_ambient_hooks = hooks;
 }
 
-Simulation::~Simulation() { detail::uninstall_check_context(this); }
+ScopedSimHooks::~ScopedSimHooks() { g_ambient_hooks = previous_; }
+
+Simulation::Simulation() : hooks_(g_ambient_hooks) {
+  detail::install_check_context(this, &Simulation::check_context_of);
+  if (hooks_ == nullptr || !hooks_->on_start) return;
+  try {
+    hooks_->on_start(*this);
+  } catch (...) {
+    // The destructor will not run for a constructor that throws.
+    detail::uninstall_check_context(this);
+    throw;
+  }
+}
+
+Simulation::~Simulation() {
+  if (hooks_ != nullptr && hooks_->on_finish) hooks_->on_finish(*this);
+  detail::uninstall_check_context(this);
+}
 
 CheckContext Simulation::check_context_of(const void* self) {
   const auto* sim = static_cast<const Simulation*>(self);

@@ -49,12 +49,17 @@ class TimeoutError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+struct SimHooks;
+
 class Simulation {
  public:
   /// Registers this engine with the GRIDSIM_CHECK diagnostic context, so a
   /// failed invariant anywhere in the process reports sim-time, live-process
-  /// count and event-queue depth.
+  /// count and event-queue depth. Under a ScopedSimHooks guard, ends by
+  /// calling the guard's `on_start`.
   Simulation();
+  /// Calls the construction-time guard's `on_finish` (if any), then
+  /// unregisters the diagnostic context.
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -176,17 +181,37 @@ class Simulation {
   std::uint64_t next_hook_id_ = 1;
   bool wall_deadline_armed_ = false;
   std::chrono::steady_clock::time_point wall_deadline_{};
+  const SimHooks* hooks_;  ///< the thread's guard at construction, or null
 };
 
-/// Optional observation hooks for harness-owned simulations. Scenario
-/// runners that construct their Simulation internally call `on_start` right
-/// after the engine is built (before any process is spawned) and `on_finish`
-/// once the event loop has drained, while the engine is still alive. The
-/// campaign runner uses them to enable tracing and digest the event trace
-/// without the runners leaking their engine.
+/// Observation hooks for every Simulation built on a thread while a
+/// ScopedSimHooks guard holds them. `on_start` runs at the end of the
+/// constructor, before anything is scheduled or spawned; `on_finish` runs
+/// exactly once, at the start of the destructor, whether run() returned,
+/// threw, or was never called (a run_until-bounded run), so it sees the
+/// engine's final event count and clock. The campaign runner uses them to
+/// trace-digest a scenario and to arm its wall-clock watchdog, so no
+/// runner, helper or scenario closure passes hooks along. `on_finish` runs
+/// in a destructor and must not throw.
 struct SimHooks {
   std::function<void(Simulation&)> on_start;
   std::function<void(Simulation&)> on_finish;
+};
+
+/// Installs `hooks` for every Simulation constructed on this thread during
+/// the guard's lifetime (restores the previous ones on destruction; nullptr
+/// = none) -- the ambient pattern of mpi::ScopedArbiter. Each Simulation
+/// keeps the hooks it was built under, so it must be destroyed before they
+/// are.
+class ScopedSimHooks {
+ public:
+  explicit ScopedSimHooks(const SimHooks* hooks);
+  ~ScopedSimHooks();
+  ScopedSimHooks(const ScopedSimHooks&) = delete;
+  ScopedSimHooks& operator=(const ScopedSimHooks&) = delete;
+
+ private:
+  const SimHooks* previous_;
 };
 
 }  // namespace gridsim

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "harness/determinism.hpp"
@@ -170,6 +172,9 @@ ExecutionRecord run_scripted(const harness::ScenarioSpec& spec,
 
 McReport explore(const harness::ScenarioSpec& spec,
                  const McOptions& options) {
+  if (options.max_execs < 1)
+    throw std::invalid_argument("explore: max_execs must be at least 1, got " +
+                                std::to_string(options.max_execs));
   McReport report;
   report.scenario = spec.name;
 

@@ -149,7 +149,8 @@ ExecutionRecord run_scripted(const harness::ScenarioSpec& spec,
 
 /// Explores alternative wildcard matching orders of `spec` depth-first up
 /// to `options.max_execs` executions. Stops at the first deadlock with a
-/// minimized witness.
+/// minimized witness. Throws std::invalid_argument if `options.max_execs`
+/// < 1: no execution verifies nothing.
 McReport explore(const harness::ScenarioSpec& spec,
                  const McOptions& options);
 

@@ -230,14 +230,11 @@ class PacketTcp {
 
 }  // namespace
 
-PacketSimResult packet_level_transfer(double bytes, const PacketSimConfig& cfg,
-                                      const SimHooks& hooks) {
+PacketSimResult packet_level_transfer(double bytes,
+                                      const PacketSimConfig& cfg) {
   Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
   PacketTcp conn(sim, bytes, cfg);
-  PacketSimResult result = conn.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
-  return result;
+  return conn.run();
 }
 
 }  // namespace gridsim::tcp

@@ -60,10 +60,8 @@ struct PacketSimResult {
 };
 
 /// Runs one bulk transfer of `bytes` to completion in a private Simulation
-/// and returns the outcome. `hooks` observe that engine (same contract as
-/// the harness runners): `on_start` fires before the first packet is sent,
-/// `on_finish` after the event loop drains.
-PacketSimResult packet_level_transfer(double bytes, const PacketSimConfig& cfg,
-                                      const SimHooks& hooks = {});
+/// and returns the outcome. Like every Simulation, that engine reports to
+/// the thread's hooks guard, if any (simcore/simulation.hpp).
+PacketSimResult packet_level_transfer(double bytes, const PacketSimConfig& cfg);
 
 }  // namespace gridsim::tcp

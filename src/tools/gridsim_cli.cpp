@@ -52,10 +52,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/ray2mesh.hpp"
@@ -347,6 +349,12 @@ int cmd_campaign(int argc, char** argv) {
       .flag("list", &list, "list matching scenarios and exit");
   int status = 0;
   if (!parse_or_exit(parser, argc, argv, &status)) return status;
+  if (!(timeout_s >= 0 && std::isfinite(timeout_s))) {
+    std::fprintf(stderr,
+                 "campaign: --timeout-s must be a finite number >= 0, got %g\n",
+                 timeout_s);
+    return 2;
+  }
 
   const auto& registry = scenarios::paper_registry();
   const auto selected = registry.match(filter);
@@ -439,6 +447,16 @@ int cmd_mc(int argc, char** argv) {
       .flag("list", &list, "list matching scenarios and exit");
   int status = 0;
   if (!parse_or_exit(parser, argc, argv, &status)) return status;
+  for (const auto& [flag, value, least] :
+       {std::tuple{"max-execs", max_execs, 1},
+        std::tuple{"ranks-cap", ranks_cap, 1},
+        std::tuple{"minimize-budget", minimize_budget, 0}}) {
+    if (value < least) {
+      std::fprintf(stderr, "mc: --%s must be at least %d, got %d\n", flag,
+                   least, value);
+      return 2;
+    }
+  }
 
   const auto& registry = scenarios::paper_registry();
   const auto selected = registry.match(filter);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -29,11 +30,10 @@ namespace {
 
 /// A small but genuinely event-driven workload: `depth` chained timers plus
 /// a coroutine ping-pong, so each scenario folds a non-trivial trace into
-/// its digest. Runs its own Simulation and reports through ctx.hooks, as
-/// the scenario contract requires.
-ScenarioResult timer_chain(const ScenarioContext& ctx, int depth) {
+/// its digest. Runs its own Simulation, which the campaign observes without
+/// being handed anything.
+ScenarioResult timer_chain(int depth) {
   Simulation sim;
-  ctx.hooks.on_start(sim);
   std::uint64_t ticks = 0;
   std::function<void(int)> arm = [&](int remaining) {
     if (remaining == 0) return;
@@ -59,7 +59,6 @@ ScenarioResult timer_chain(const ScenarioContext& ctx, int depth) {
   }(b, a, depth));
   a.push(0);
   sim.run();
-  ctx.hooks.on_finish(sim);
   ScenarioResult res;
   res.add("ticks", static_cast<double>(ticks));
   res.add("final_ns", static_cast<double>(sim.now()), "ns");
@@ -75,9 +74,7 @@ ScenarioRegistry small_registry() {
     spec.group = "chain";
     spec.description = "timer chain of depth " + std::to_string(depth);
     spec.expected_metrics = {"ticks", "final_ns"};
-    spec.run = [depth](const ScenarioContext& ctx) {
-      return timer_chain(ctx, depth);
-    };
+    spec.run = [depth](const ScenarioContext&) { return timer_chain(depth); };
     reg.add(std::move(spec));
   }
   return reg;
@@ -191,9 +188,7 @@ TEST(Campaign, FailureIsolation) {
   missing.name = "bad/schema";
   missing.group = "bad";
   missing.expected_metrics = {"never_produced"};
-  missing.run = [](const ScenarioContext& ctx) {
-    return timer_chain(ctx, 3);
-  };
+  missing.run = [](const ScenarioContext&) { return timer_chain(3); };
   reg.add(std::move(missing));
 
   CampaignOptions options;
@@ -217,15 +212,14 @@ TEST(Campaign, TimeoutWatchdogDegradesGracefully) {
   ScenarioSpec spinning;
   spinning.name = "bad/spins";
   spinning.group = "bad";
-  spinning.run = [](const ScenarioContext& ctx) -> ScenarioResult {
+  spinning.run = [](const ScenarioContext&) -> ScenarioResult {
     // A runaway workload: virtual time advances forever, so only the
-    // wall-clock watchdog can stop it.
+    // wall-clock watchdog can stop it. It never names the campaign's hooks:
+    // the Simulation picks up the watchdog on its own.
     Simulation sim;
-    ctx.hooks.on_start(sim);
     std::function<void()> spin = [&] { sim.after(10, spin); };
     spin();
     sim.run();
-    ctx.hooks.on_finish(sim);
     return ScenarioResult{};
   };
   reg.add(std::move(spinning));
@@ -258,6 +252,74 @@ TEST(Campaign, TimeoutWatchdogDegradesGracefully) {
   EXPECT_NE(doc.find("\"status\": \"timeout\""), std::string::npos);
   EXPECT_NE(doc.find("\"status\": \"ok\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Campaign, HugeTimeoutNeverFires) {
+  // fig3/TCP runs more than one watchdog check interval (16384 events) in
+  // about 10 ms. A budget the steady clock cannot hold from now (1e10 s is
+  // 1e19 ns, past INT64_MAX) must arm nothing, not a deadline in the past.
+  for (const double budget_s :
+       {1e10, 1e12, std::numeric_limits<double>::infinity()}) {
+    CampaignOptions options;
+    options.filter = "fig3/TCP";
+    options.timeout_s = budget_s;
+    const auto report = run_campaign(scenarios::paper_registry(), options);
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    EXPECT_EQ(report.outcomes[0].status, "ok")
+        << "timeout_s=" << budget_s << ": " << report.outcomes[0].error;
+  }
+}
+
+TEST(Campaign, RejectsNegativeOrNanTimeout) {
+  for (const double budget_s :
+       {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    CampaignOptions options;
+    options.filter = "chain/depth5";
+    options.timeout_s = budget_s;
+    EXPECT_THROW(run_campaign(small_registry(), options),
+                 std::invalid_argument)
+        << "timeout_s=" << budget_s;
+  }
+}
+
+TEST(Campaign, RawSimulationIsDigested) {
+  // A closure that builds its Simulation by hand and never names the
+  // campaign's hooks is digested all the same, among other scenarios.
+  auto reg = small_registry();
+  ScenarioSpec raw;
+  raw.name = "raw/sim";
+  raw.group = "raw";
+  raw.run = [](const ScenarioContext&) {
+    Simulation sim;
+    for (SimTime t : {100, 250, 400})
+      sim.at(t, [&sim] {
+        sim.tracer().record(sim.now(), TraceKind::kPhase, "raw", 1.0);
+      });
+    sim.run();
+    return ScenarioResult{};
+  };
+  reg.add(std::move(raw));
+
+  CampaignOptions options;
+  options.filter = "*";
+  options.jobs = 1;
+  const auto serial = run_campaign(reg, options);
+  ASSERT_EQ(serial.outcomes.size(), 7u);
+  const ScenarioOutcome& row = serial.outcomes[6];
+  EXPECT_EQ(row.name, "raw/sim");
+  EXPECT_TRUE(row.ok) << row.error;
+  EXPECT_EQ(row.simulations, 1u);
+  EXPECT_EQ(row.trace_events, 3u);
+  EXPECT_EQ(row.final_time, 400);
+
+  options.jobs = 4;
+  const auto parallel = run_campaign(reg, options);
+  ASSERT_EQ(parallel.outcomes.size(), 7u);
+  const ScenarioOutcome& again = parallel.outcomes[6];
+  EXPECT_EQ(again.digest, row.digest);
+  EXPECT_EQ(again.simulations, row.simulations);
+  EXPECT_EQ(again.trace_events, row.trace_events);
+  EXPECT_EQ(again.final_time, row.final_time);
 }
 
 TEST(Campaign, StatusFieldIsOkWithoutWatchdog) {

@@ -337,9 +337,8 @@ harness::ScenarioSpec unmatched_send() {
   harness::ScenarioSpec spec;
   spec.name = "lint/unmatched-send";
   spec.group = "lint";
-  spec.run = [](const harness::ScenarioContext& ctx) {
+  spec.run = [](const harness::ScenarioContext&) {
     Simulation sim;
-    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
     topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
     {
       mpi::Job job(grid, mpi::block_placement(grid, 2), profiles::mpich2(),
@@ -350,7 +349,6 @@ harness::ScenarioSpec unmatched_send() {
       });
       sim.run();
     }
-    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
     return harness::ScenarioResult{};
   };
   return spec;

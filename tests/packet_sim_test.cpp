@@ -170,9 +170,11 @@ TEST(PacketSim, EventCountAndQueueDepthStayWindowSized) {
     events = sim.events_processed();
     peak_depth = sim.peak_queue_depth();
   };
+  const ScopedSimHooks observe(&hooks);  // the transfer's private engine
   PacketSimConfig cfg;
-  const auto res = packet_level_transfer(64e6, cfg, hooks);
+  const auto res = packet_level_transfer(64e6, cfg);
   ASSERT_GT(res.packets_sent, 0);
+  ASSERT_GT(events, 0u);  // the guard saw the transfer's engine finish
   EXPECT_LT(events,
             4u * static_cast<std::uint64_t>(res.packets_sent));
   // Window limit is ~2762 packets; each contributes at most a departure

@@ -262,6 +262,68 @@ TEST(Simulation, EventsCanScheduleEvents) {
   EXPECT_EQ(times, (std::vector<SimTime>{10, 25}));
 }
 
+TEST(SimHooks, GuardObservesEverySimulationOnce) {
+  std::vector<std::string> log;
+  const auto logging = [&log](const std::string& name) {
+    SimHooks hooks;
+    hooks.on_start = [&log, name](Simulation& sim) {
+      log.push_back(name + " start@" + std::to_string(sim.now()));
+    };
+    hooks.on_finish = [&log, name](Simulation& sim) {
+      log.push_back(name + " finish@" + std::to_string(sim.now()));
+    };
+    return hooks;
+  };
+  const SimHooks outer = logging("outer");
+  const SimHooks inner = logging("inner");
+  {
+    const ScopedSimHooks guard(&outer);
+    // Two Simulations one after the other: each is started when built and
+    // finished when destroyed, not when run() returns.
+    for (const SimTime end : {5, 7}) {
+      Simulation sim;
+      EXPECT_EQ(log.back(), "outer start@0");
+      sim.at(end, [] {});
+      sim.run();
+      EXPECT_EQ(log.back(), "outer start@0");
+    }
+    {
+      // A nested guard replaces the outer one...
+      const ScopedSimHooks nested(&inner);
+      Simulation sim;
+      sim.at(3, [] {});
+      sim.run();
+    }
+    // ...and restores it on exit.
+    Simulation restored;
+  }
+  {
+    // Outside any guard, no hooks.
+    Simulation unobserved;
+    unobserved.at(9, [] {});
+    unobserved.run();
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "outer start@0", "outer finish@5", "outer start@0",
+                     "outer finish@7", "inner start@0", "inner finish@3",
+                     "outer start@0", "outer finish@0"}));
+
+  // A run() that throws still finishes its Simulation, exactly once.
+  log.clear();
+  {
+    [[maybe_unused]] ScopedLeakExemption abandoned_frame;
+    const ScopedSimHooks guard(&outer);
+    Simulation sim;
+    Mailbox<int> never_filled(sim);
+    sim.spawn([](Simulation& s, Mailbox<int>& box) -> Task<void> {
+      co_await s.delay(4);
+      (void)co_await box.pop();
+    }(sim, never_filled));
+    EXPECT_THROW(sim.run(), DeadlockError);
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"outer start@0", "outer finish@4"}));
+}
+
 Task<void> record_delays(Simulation& sim, std::vector<SimTime>& out) {
   out.push_back(sim.now());
   co_await sim.delay(100);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,8 @@ harness::ScenarioSpec two_sender_spec(const std::string& metric) {
   spec.group = "test";
   spec.description = "2 racing senders into one wildcard receiver";
   spec.ranks = 3;
-  spec.run = [metric](const harness::ScenarioContext& ctx) {
+  spec.run = [metric](const harness::ScenarioContext&) {
     Simulation sim;
-    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
     topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
     mpi::Job job(grid, mpi::block_placement(grid, 3), profiles::mpich2(),
                  tcp::KernelTunables::grid_tuned());
@@ -49,7 +49,6 @@ harness::ScenarioSpec two_sender_spec(const std::string& metric) {
       }
     });
     sim.run();
-    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
     harness::ScenarioResult res;
     if (metric == "sum")
       res.add("sum", sum);
@@ -69,6 +68,14 @@ TEST(Simmc, ExploresBothOrdersOfATwoSenderRace) {
   EXPECT_EQ(report.race_points, 1);
   EXPECT_EQ(report.max_candidates, 2);
   ASSERT_EQ(report.digests.size(), 1u);
+}
+
+TEST(Simmc, ExploreRejectsAnEmptyBudget) {
+  // Zero executions would verify nothing, yet report the scenario as ok.
+  for (const int max_execs : {0, -3})
+    EXPECT_THROW(explore(two_sender_spec("sum"), {.max_execs = max_execs}),
+                 std::invalid_argument)
+        << "max_execs=" << max_execs;
 }
 
 TEST(Simmc, DetectsAnOrderDependentResult) {
@@ -158,9 +165,8 @@ harness::ScenarioSpec causal_relay_spec() {
   spec.group = "test";
   spec.description = "a send enabled only after a wildcard match";
   spec.ranks = 3;
-  spec.run = [](const harness::ScenarioContext& ctx) {
+  spec.run = [](const harness::ScenarioContext&) {
     Simulation sim;
-    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
     topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
     mpi::Job job(grid, mpi::block_placement(grid, 3), profiles::mpich2(),
                  tcp::KernelTunables::grid_tuned());
@@ -181,7 +187,6 @@ harness::ScenarioSpec causal_relay_spec() {
       }
     });
     sim.run();
-    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
     harness::ScenarioResult res;
     res.add("sum", sum);
     return res;
